@@ -408,7 +408,7 @@ func benchParallelRing(b *testing.B, shards int) {
 // pin the coordination overhead instead.
 func BenchmarkParallelEngineEvents(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
-		se := simcore.NewSerialEngine(1)
+		se := simcore.NewEngine(1)
 		n := 0
 		var tick func()
 		tick = func() {
@@ -558,4 +558,70 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	if err := eng.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkTCPBulkTransfer pins the TCP data path's cost per segment: a
+// 4 MiB lossless bulk transfer between two hosts on one 100 Mb/s link,
+// reporting dispatched events and heap allocations per data segment.
+// Both are machine-independent, so CI gates them with absolute ceilings
+// (cmd/benchjson -ceiling): a per-segment timer event or allocation
+// creeping back onto the packet path steps past them on any runner.
+func BenchmarkTCPBulkTransfer(b *testing.B) {
+	const total, msg = 4 << 20, 64 << 10
+	var events, segments, mallocs uint64
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng := simcore.NewEngine(1)
+		nw := netsim.New(eng)
+		src := nw.AddHost("a", netsim.MustParseAddr("10.0.0.1"))
+		dst := nw.AddHost("b", netsim.MustParseAddr("10.0.0.2"))
+		nw.Connect(src, dst, netsim.LinkConfig{BandwidthBps: 100e6, Delay: 100 * simcore.Microsecond})
+		ln, err := dst.Listen(80)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var client *netsim.Conn
+		eng.Spawn("server", func(p *simcore.Proc) {
+			c, err := ln.Accept(p)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			for got := 0; got < total; {
+				m, err := c.Recv(p)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				got += m.Size
+			}
+		})
+		eng.Spawn("client", func(p *simcore.Proc) {
+			c, err := src.Dial(p, dst.Addr, 80)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			client = c
+			for sent := 0; sent < total; sent += msg {
+				if err := c.Send(p, msg, nil); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		if err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if client == nil {
+			b.Fatal("client never connected")
+		}
+		events += uint64(eng.Dispatched())
+		segments += uint64(client.Stats.SegmentsSent)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	b.ReportMetric(float64(events)/float64(segments), "events/segment")
+	b.ReportMetric(float64(mallocs)/float64(segments), "allocs/segment")
 }

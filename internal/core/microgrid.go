@@ -160,8 +160,8 @@ func newDriver(seed int64, shards int) (*simcore.Engine, simcore.Sim, *simcore.P
 		pe := simcore.NewParallelEngine(seed, shards)
 		return pe.Shard(0), pe, pe
 	}
-	se := simcore.NewSerialEngine(seed)
-	return se.Engine, se, nil
+	eng := simcore.NewEngine(seed)
+	return eng, eng, nil
 }
 
 // ParallelEngine returns the parallel engine driving this instance, or

@@ -118,7 +118,7 @@ func TestPlanPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := spec.Build(simcore.NewSerialEngine(1).Engine)
+	nw, err := spec.Build(simcore.NewEngine(1))
 	if err != nil {
 		t.Fatal(err)
 	}

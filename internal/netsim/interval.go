@@ -32,11 +32,17 @@ func (s *intervalSet) add(start, end int64) {
 		}
 		j++
 	}
-	merged := make([]interval, 0, len(s.iv)-(j-i)+1)
-	merged = append(merged, s.iv[:i]...)
-	merged = append(merged, interval{start, end})
-	merged = append(merged, s.iv[j:]...)
-	s.iv = merged
+	// Merge in place: s.iv[i:j] collapses into one interval (or, when
+	// j == i, the new interval is inserted at i). copy is a memmove, so
+	// the overlapping shift left over the merged run is safe.
+	if j == i {
+		s.iv = append(s.iv, interval{})
+		copy(s.iv[i+1:], s.iv[i:])
+	} else if j > i+1 {
+		n := copy(s.iv[i+1:], s.iv[j:])
+		s.iv = s.iv[:i+1+n]
+	}
+	s.iv[i] = interval{start, end}
 }
 
 // contiguousFrom returns the largest y such that [x, y) is fully covered

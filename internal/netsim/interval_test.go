@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -113,5 +115,67 @@ func TestPropertyIntervalSetMatchesBitmap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// runs returns the maximal covered runs of bits: the canonical form an
+// intervalSet must hold (overlapping and adjacent adds merge).
+func runs(bits []bool) []interval {
+	var out []interval
+	for k := 0; k < len(bits); k++ {
+		if bits[k] && (k == 0 || !bits[k-1]) {
+			out = append(out, interval{start: int64(k)})
+		}
+		if bits[k] && (k+1 == len(bits) || !bits[k+1]) {
+			out[len(out)-1].end = int64(k + 1)
+		}
+	}
+	return out
+}
+
+// Property: in-place add keeps exactly the bitmap's maximal runs after
+// every add, including adds that bridge three or more existing intervals
+// — the case where the merged tail is shifted left over itself.
+func TestPropertyIntervalSetInPlaceAdd(t *testing.T) {
+	bridged := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const n = 96
+		bits := make([]bool, n)
+		var s intervalSet
+		add := func(a, b int64) bool {
+			before := s.count()
+			s.add(a, b)
+			for k := a; k < b; k++ {
+				bits[k] = true
+			}
+			if s.count() <= before-2 {
+				bridged++
+			}
+			return reflect.DeepEqual(s.iv, runs(bits))
+		}
+		// Scatter short disjoint intervals, in random order, so later
+		// wide adds have many intervals to swallow.
+		for _, i := range rng.Perm(n / 4) {
+			if rng.Intn(3) > 0 {
+				if !add(int64(4*i), int64(4*i+1+rng.Intn(2))) {
+					return false
+				}
+			}
+		}
+		for k := 0; k < 8; k++ {
+			a := int64(rng.Intn(n))
+			b := a + int64(rng.Intn(n-int(a)+1))
+			if !add(a, b) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if bridged == 0 {
+		t.Fatal("no add bridged three or more intervals")
 	}
 }

@@ -51,6 +51,9 @@ type Packet struct {
 	// Seq is the first byte sequence number (kindData) or datagram
 	// fragment index; Ack is the cumulative acknowledgment.
 	Seq, Ack int64
+	// TS is a data segment's send time, echoed by its ack for RTT
+	// sampling (the TCP timestamp option).
+	TS simcore.Time
 	// FragTotal is the number of fragments in a datagram (kindDatagram).
 	FragTotal int
 	// Payload carries opaque application metadata on the final fragment.

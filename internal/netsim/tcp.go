@@ -139,8 +139,8 @@ type Conn struct {
 	fastRecovery           bool
 	recoverSeq             int64
 	rto                    simcore.Duration
-	srtt, rttvar           float64 // seconds; srtt < 0 means no sample yet
-	rtoGen                 int64
+	srtt, rttvar           float64        // seconds; srtt < 0 means no sample yet
+	rtoTimer               *simcore.Timer // the one retransmission timer (see armRTO)
 	consecTimeouts         int
 	sendClosed             bool // Close requested
 	finSent                bool
@@ -527,7 +527,7 @@ func (c *Conn) abort() {
 		return
 	}
 	c.closed = true
-	c.rtoGen++ // cancel any pending RTO
+	c.stopRTO()
 	c.rcvClosed = true
 	c.rcvQ.Close()
 	c.estCond.Broadcast()
@@ -564,20 +564,15 @@ func (c *Conn) trySend() {
 	}
 }
 
-// segTS is the timestamp option carried by data segments and echoed by acks.
-type segTS struct {
-	sent simcore.Time
-}
-
 func (c *Conn) sendSegment(seq int64, length int, retransmit bool) {
 	pkt := c.node.newPacket()
 	*pkt = Packet{
 		Src: c.node.Addr, Dst: c.key.remote,
 		SrcPort: c.key.local, DstPort: c.key.remotePort,
-		Kind:    kindData,
-		Size:    length + HeaderBytes,
-		Seq:     seq,
-		Payload: &segTS{sent: c.node.eng.Now()},
+		Kind: kindData,
+		Size: length + HeaderBytes,
+		Seq:  seq,
+		TS:   c.node.eng.Now(),
 	}
 	c.Stats.SegmentsSent++
 	if retransmit {
@@ -587,16 +582,29 @@ func (c *Conn) sendSegment(seq int64, length int, retransmit bool) {
 	c.armRTO()
 }
 
+// armRTO (re)starts the retransmission timer c.rto from now. The timer
+// lives on the node's current engine: if SetNodeEngine moved the node
+// since the timer was made, the old one is stopped and replaced.
 func (c *Conn) armRTO() {
-	c.rtoGen++
-	gen := c.rtoGen
-	eng := c.node.eng
-	eng.After(c.rto, func() {
-		if gen != c.rtoGen || c.sndUna >= c.sndNxt || c.closed {
-			return
-		}
-		c.onTimeout()
-	})
+	if c.rtoTimer == nil || c.rtoTimer.Engine() != c.node.eng {
+		c.stopRTO()
+		c.rtoTimer = c.node.eng.NewTimer(c.onRTO)
+	}
+	c.rtoTimer.Reset(c.rto)
+}
+
+// stopRTO cancels any pending retransmission timeout.
+func (c *Conn) stopRTO() {
+	if c.rtoTimer != nil {
+		c.rtoTimer.Stop()
+	}
+}
+
+func (c *Conn) onRTO() {
+	if c.sndUna >= c.sndNxt || c.closed {
+		return
+	}
+	c.onTimeout()
 }
 
 func (c *Conn) onTimeout() {
@@ -640,26 +648,24 @@ func (c *Conn) onACK(pkt *Packet) {
 		return
 	}
 	c.Stats.AcksReceived++
-	// RTT sample from the echoed timestamp.
-	if ts, ok := pkt.Payload.(*segTS); ok && ts != nil {
-		sample := c.node.eng.Now().Sub(ts.sent).Seconds()
-		if c.srtt < 0 {
-			c.srtt = sample
-			c.rttvar = sample / 2
-		} else {
-			const alpha, beta = 0.125, 0.25
-			c.rttvar = (1-beta)*c.rttvar + beta*math.Abs(c.srtt-sample)
-			c.srtt = (1-alpha)*c.srtt + alpha*sample
-		}
-		rto := simcore.DurationOfSeconds(c.srtt + 4*c.rttvar)
-		if rto < minRTO {
-			rto = minRTO
-		}
-		if rto > maxRTO {
-			rto = maxRTO
-		}
-		c.rto = rto
+	// RTT sample from the timestamp the ack echoes (every data ack has one).
+	sample := c.node.eng.Now().Sub(pkt.TS).Seconds()
+	if c.srtt < 0 {
+		c.srtt = sample
+		c.rttvar = sample / 2
+	} else {
+		const alpha, beta = 0.125, 0.25
+		c.rttvar = (1-beta)*c.rttvar + beta*math.Abs(c.srtt-sample)
+		c.srtt = (1-alpha)*c.srtt + alpha*sample
 	}
+	rto := simcore.DurationOfSeconds(c.srtt + 4*c.rttvar)
+	if rto < minRTO {
+		rto = minRTO
+	}
+	if rto > maxRTO {
+		rto = maxRTO
+	}
+	c.rto = rto
 	switch {
 	case pkt.Ack > c.sndUna:
 		acked := float64(pkt.Ack - c.sndUna)
@@ -682,7 +688,7 @@ func (c *Conn) onACK(pkt *Packet) {
 		if c.sndUna < c.sndNxt {
 			c.armRTO()
 		} else {
-			c.rtoGen++ // cancel timer; nothing outstanding
+			c.stopRTO() // nothing outstanding
 			c.rto = c.currentRTOFromSRTT()
 		}
 		c.sndSpace.Broadcast()
@@ -742,8 +748,8 @@ func (c *Conn) onData(pkt *Packet) {
 		Src: c.node.Addr, Dst: c.key.remote,
 		SrcPort: c.key.local, DstPort: c.key.remotePort,
 		Kind: kindACK, Size: HeaderBytes,
-		Ack:     c.rcvNxt,
-		Payload: pkt.Payload,
+		Ack: c.rcvNxt,
+		TS:  pkt.TS,
 	}
 	_ = c.node.sendPacket(ack)
 }

@@ -107,6 +107,8 @@ type Engine struct {
 	shard int
 	// dispatched counts executed events, for events/sec reporting.
 	dispatched int64
+	// timerFree is the free list of Timer queue entries (see timer.go).
+	timerFree *timerEntry
 }
 
 // NewEngine returns an engine with a deterministic random source derived
@@ -192,42 +194,6 @@ func (e *Engine) SetRecorder(r *trace.Recorder) {
 //
 //	if rec := eng.Recorder(); rec.Enabled(trace.CatNet) { rec.Event(...) }
 func (e *Engine) Recorder() *trace.Recorder { return e.rec }
-
-// SetTracer installs a printf-style debug trace hook (nil disables).
-//
-// Deprecated: SetTracer is a compatibility shim over the structured
-// recorder: it enables the log category on the engine's recorder
-// (attaching one when absent) and replays log records to fn via the
-// recorder sink. New code should attach a recorder with SetRecorder and
-// emit typed events.
-func (e *Engine) SetTracer(fn func(t Time, format string, args ...any)) {
-	if fn == nil {
-		if e.rec != nil {
-			e.rec.SetSink(nil)
-			e.rec.Disable(trace.CatLog)
-		}
-		return
-	}
-	if e.rec == nil {
-		e.SetRecorder(trace.NewRecorder(0, 0))
-	}
-	e.rec.Enable(trace.CatLog)
-	e.rec.SetSink(func(ev trace.Event) {
-		if ev.Cat == trace.CatLog {
-			fn(Time(ev.T), "%s", ev.Detail)
-		}
-	})
-}
-
-// Tracef emits a printf-style trace record (category "log") when log
-// tracing is enabled.
-//
-// Deprecated: prefer typed events on Recorder().
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.rec.Enabled(trace.CatLog) {
-		e.rec.Event(trace.CatLog, "log", trace.Attr{Detail: fmt.Sprintf(format, args...)})
-	}
-}
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error and panics: it would silently corrupt causality.

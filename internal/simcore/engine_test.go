@@ -568,24 +568,6 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	e := NewEngine(1)
-	var lines []string
-	e.SetTracer(func(at Time, format string, args ...any) {
-		lines = append(lines, fmt.Sprintf("%v: ", at)+fmt.Sprintf(format, args...))
-	})
-	e.Tracef("hello %d", 42)
-	e.After(5*Millisecond, func() { e.Tracef("later") })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 2 || lines[0] != "0s: hello 42" || lines[1] != "5ms: later" {
-		t.Fatalf("lines = %v", lines)
-	}
-	e.SetTracer(nil)
-	e.Tracef("dropped") // must not panic
-}
-
 func TestRandDeterministic(t *testing.T) {
 	draw := func() []int64 {
 		e := NewEngine(123)
@@ -661,7 +643,7 @@ func TestDeriveRandStreams(t *testing.T) {
 		}
 		return out
 	}
-	eng := NewSerialEngine(7).Engine
+	eng := NewEngine(7)
 	seen := map[[4]int64]string{}
 	for _, l := range labels {
 		s := draw(eng, l)
@@ -679,7 +661,7 @@ func TestDeriveRandStreams(t *testing.T) {
 			t.Fatalf("shard %d derives a different stream for %q", i, labels[0])
 		}
 	}
-	other := NewSerialEngine(8).Engine
+	other := NewEngine(8)
 	if draw(other, labels[0]) == draw(eng, labels[0]) {
 		t.Fatal("base seed does not affect derived streams")
 	}

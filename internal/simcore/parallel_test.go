@@ -12,7 +12,7 @@ import (
 )
 
 // TestParallelSingleShardMatchesSerial runs the same process workload on
-// a SerialEngine and a 1-shard ParallelEngine and requires identical
+// a serial Engine and a 1-shard ParallelEngine and requires identical
 // observable behavior: shard 0 uses the config seed itself, so a 1-shard
 // parallel run is the serial simulation.
 func TestParallelSingleShardMatchesSerial(t *testing.T) {
@@ -29,8 +29,8 @@ func TestParallelSingleShardMatchesSerial(t *testing.T) {
 	}
 
 	var serialLog []string
-	se := NewSerialEngine(7)
-	workload(se.Engine, &serialLog)
+	se := NewEngine(7)
+	workload(se, &serialLog)
 	if err := se.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestParallelMergedTrace(t *testing.T) {
 	pe := NewParallelEngine(1, 2)
 	pe.SetLookahead(Millisecond)
 	for i := 0; i < 2; i++ {
-		r := trace.NewRecorder(64, trace.CatLog)
+		r := trace.NewRecorder(64, trace.CatNet)
 		if i == 0 {
 			r.Label = "merged"
 		}
@@ -274,8 +274,11 @@ func TestParallelMergedTrace(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		sh := pe.Shard(i)
-		sh.At(Time(Millisecond), func() { sh.Tracef("a%d", i) })
-		sh.At(Time(2*Millisecond), func() { sh.Tracef("b%d", i) })
+		emit := func(detail string) {
+			sh.Recorder().Event(trace.CatNet, "mark", trace.Attr{Detail: detail})
+		}
+		sh.At(Time(Millisecond), func() { emit(fmt.Sprintf("a%d", i)) })
+		sh.At(Time(2*Millisecond), func() { emit(fmt.Sprintf("b%d", i)) })
 	}
 	if err := pe.Run(); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 package simcore
 
-// Sim is the driver interface shared by SerialEngine and ParallelEngine:
-// the minimal surface the model layer needs to execute a simulation to
+// Sim is the driver interface shared by Engine and ParallelEngine: the
+// minimal surface the model layer needs to execute a simulation to
 // completion. Both engines guarantee bit-for-bit deterministic results
 // for a given seed, independent of wall clock or GOMAXPROCS.
 type Sim interface {
@@ -13,22 +13,4 @@ type Sim interface {
 	Stop()
 }
 
-// SerialEngine is the classic single-threaded discrete-event engine: one
-// event heap, one dispatch loop, events executed strictly in (time, seq)
-// order. It is a thin name over Engine so that code choosing between
-// engines reads explicitly, and so the Sim split mirrors the
-// serial/parallel pairing in the parallel engine design.
-type SerialEngine struct {
-	*Engine
-}
-
-// NewSerialEngine returns a serial engine with a deterministic random
-// source derived from seed.
-func NewSerialEngine(seed int64) *SerialEngine {
-	return &SerialEngine{Engine: NewEngine(seed)}
-}
-
-var (
-	_ Sim = (*SerialEngine)(nil)
-	_ Sim = (*Engine)(nil)
-)
+var _ Sim = (*Engine)(nil)

@@ -49,7 +49,8 @@ const (
 	CatGlobus
 	// CatChaos traces fault-injection firings.
 	CatChaos
-	// CatLog carries legacy printf-style Tracef records.
+	// CatLog is the category of the removed printf-style tracer; nothing
+	// emits it, but it keeps its bit and its "log" name.
 	CatLog
 
 	// CatAll enables everything.
@@ -165,7 +166,6 @@ type Recorder struct {
 
 	mask    Category
 	now     func() int64
-	sink    func(Event)
 	buf     []Event
 	start   int // index of the oldest retained event
 	count   int // number of retained events
@@ -187,10 +187,6 @@ func NewRecorder(size int, mask Category) *Recorder {
 
 // SetClock installs the virtual-time source (the owning engine's now).
 func (r *Recorder) SetClock(now func() int64) { r.now = now }
-
-// SetSink installs fn to observe every retained event as it is emitted
-// (nil removes it). The legacy printf tracer shim uses this.
-func (r *Recorder) SetSink(fn func(Event)) { r.sink = fn }
 
 // Enabled reports whether category c is being recorded. It is nil-safe:
 // call sites guard their attribute construction with it, so a simulation
@@ -262,9 +258,6 @@ func (r *Recorder) push(ev Event) {
 	} else {
 		r.buf[(r.start+r.count)%len(r.buf)] = ev
 		r.count++
-	}
-	if r.sink != nil {
-		r.sink(ev)
 	}
 }
 
