@@ -10,6 +10,7 @@
 //	mgrid -all -quick -out results/      # + campaign.json, timings.csv
 //	mgrid -run 'chaos-*' -quick -j 4     # glob-selected sub-campaign
 //	mgrid -scenario my.scenario          # run a declarative scenario file
+//	mgrid -scenario my.scenario -shards 4 -partition auto -trace t.jsonl
 //
 // Experiments run on a bounded worker pool (-j), each in its own
 // isolated simulation engine, with an optional per-experiment wall-clock
@@ -45,7 +46,7 @@ func main() {
 		jobs     = flag.Int("j", 1, "number of experiments to run concurrently")
 		timeout  = flag.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
 		outDir   = flag.String("out", "", "directory for campaign.json and timings.csv artifacts")
-		traceOut = flag.String("trace", "", "write a structured trace of the experiment (.jsonl = compact stream, anything else = Chrome/Perfetto JSON)")
+		traceOut = flag.String("trace", "", "write a structured trace of the experiment or scenario (.jsonl = compact stream, anything else = Chrome/Perfetto JSON)")
 		traceCat = flag.String("trace-categories", "all", "trace categories, e.g. 'net,mpi' or 'all,-engine'")
 		traceBuf = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default 65536)")
 		shards   = flag.Int("shards", 0, "simulation engine: 0 = serial (default), N >= 1 = conservative parallel engine with N shards")
@@ -57,16 +58,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error: -shards must be >= 0")
 		os.Exit(1)
 	}
-	if *shards > 0 {
-		microgrid.SetEngineShards(*shards)
-	}
+	// The invocation's engine and trace settings travel to every build
+	// in the env; they outrank the scenarios' own engine lines.
+	env := microgrid.ScenarioEnv{Shards: *shards}
 	if *partArg != "" {
 		pc, err := microgrid.ParsePartitionFlag(*partArg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-		microgrid.SetEnginePartition(pc)
+		env.Partition = pc
+	}
+	var traceCfg *microgrid.TraceConfig
+	if *traceOut != "" {
+		mask, err := microgrid.ParseTraceCategories(*traceCat)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
+		traceCfg = &microgrid.TraceConfig{Mask: mask, BufSize: *traceBuf}
 	}
 
 	if *list {
@@ -78,16 +88,21 @@ func main() {
 	}
 
 	if *scenFile != "" {
-		runScenarioFile(*scenFile)
+		runScenarioFile(*scenFile, env, *traceOut, traceCfg)
 		return
+	}
+	// No experiment carries an engine line, so a partition needs -shards.
+	checkPartition(env, 0)
+	if traceCfg != nil {
+		env.Trace = microgrid.NewTraceCollector(*traceCfg)
 	}
 
 	var tasks []microgrid.CampaignTask
 	switch {
 	case *all:
-		tasks = microgrid.Campaign(*quick)
+		tasks = microgrid.Campaign(*quick, env)
 	case *runGlob != "":
-		for _, t := range microgrid.Campaign(*quick) {
+		for _, t := range microgrid.Campaign(*quick, env) {
 			ok, err := path.Match(*runGlob, t.ID)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error: bad -run pattern:", err)
@@ -114,7 +129,7 @@ func main() {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				return fn(q)
+				return fn(q, env)
 			},
 		}}
 	default:
@@ -135,12 +150,6 @@ func main() {
 				len(tasks), strings.Join(ids, ", "))
 			os.Exit(1)
 		}
-		mask, err := microgrid.ParseTraceCategories(*traceCat)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		microgrid.EnableTracing(microgrid.TraceConfig{Mask: mask, BufSize: *traceBuf})
 	}
 
 	results := microgrid.RunCampaign(context.Background(), tasks, microgrid.CampaignOptions{
@@ -182,24 +191,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		write := microgrid.WriteTraceChrome
-		if strings.HasSuffix(*traceOut, ".jsonl") {
-			write = microgrid.WriteTraceJSONL
-		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error writing trace:", err)
-			os.Exit(1)
-		}
-		werr := write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "error writing trace:", werr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
+		writeTrace(*traceOut, env.Trace.Runs())
 	}
 
 	if len(failed) > 0 {
@@ -213,16 +205,28 @@ func main() {
 
 // runScenarioFile loads a declarative scenario and runs it end to end:
 // parse, validate, build the virtual grid (arming any chaos schedule),
-// run the workload, and print a deterministic report.
-func runScenarioFile(file string) {
+// run the workload, and print a deterministic report. With -trace the
+// flags' categories and buffer replace any trace line in the file, and
+// the run's canonical trace is written to traceOut.
+func runScenarioFile(file string, env microgrid.ScenarioEnv, traceOut string, traceCfg *microgrid.TraceConfig) {
 	s, err := microgrid.LoadScenario(file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
+	checkPartition(env, s.EngineShards)
+	if traceCfg != nil {
+		s.Trace = &microgrid.ScenarioTrace{Mask: traceCfg.Mask, BufSize: traceCfg.BufSize}
+	}
 	// Relative references inside the scenario (a gis file= path) resolve
 	// against the scenario file's own directory.
-	report, err := microgrid.RunScenarioEnv(s, microgrid.ScenarioEnv{BaseDir: filepath.Dir(file)})
+	env.BaseDir = filepath.Dir(file)
+	m, err := microgrid.BuildScenarioEnv(s, env)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+	report, err := m.RunWorkload(s)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -230,4 +234,40 @@ func runScenarioFile(file string) {
 	// The same formatter renders mgridd's stdout artifact, so the CLI
 	// and the service can never drift apart.
 	fmt.Print(microgrid.FormatScenarioReport(s.Name, report))
+	if traceOut != "" {
+		writeTrace(traceOut, []microgrid.TraceRun{m.Trace()})
+	}
+}
+
+// checkPartition refuses a -partition that no shard count backs: without
+// -shards or the scenario's engine line the build is serial and the
+// placement would be silently ignored.
+func checkPartition(env microgrid.ScenarioEnv, scenarioShards int) {
+	if env.Partition != nil && env.Shards == 0 && scenarioShards == 0 {
+		fmt.Fprintln(os.Stderr, "error: -partition needs a shard count: pass -shards N (or run a scenario with an engine line)")
+		os.Exit(1)
+	}
+}
+
+// writeTrace exports runs to path: compact JSONL for a .jsonl name,
+// Chrome/Perfetto trace-event JSON otherwise.
+func writeTrace(path string, runs []microgrid.TraceRun) {
+	write := microgrid.WriteTraceChrome
+	if strings.HasSuffix(path, ".jsonl") {
+		write = microgrid.WriteTraceJSONL
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error writing trace:", err)
+		os.Exit(1)
+	}
+	werr := write(f, runs)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		fmt.Fprintln(os.Stderr, "error writing trace:", werr)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "trace written to %s\n", path)
 }

@@ -12,7 +12,8 @@
 // Without -phys the target is modeled directly (the reference run); with
 // -phys the named physical machines emulate the virtual grid at -rate.
 // With -scenario, the whole run — grid, workload, policies, faults — comes
-// from one declarative file and every other flag is ignored.
+// from one declarative file and every other flag but -shards and
+// -partition (which outrank the file's engine lines) is ignored.
 package main
 
 import (
@@ -38,7 +39,7 @@ func main() {
 		physArg = flag.String("phys", "", "emulation calibration: name=MIPS,name=MIPS (empty = direct model)")
 		rate    = flag.Float64("rate", 0, "simulation rate (0 = fastest feasible)")
 		seed    = flag.Int64("seed", 1, "simulation seed")
-		scen    = flag.String("scenario", "", "declarative .scenario file (overrides all other flags)")
+		scen    = flag.String("scenario", "", "declarative .scenario file (overrides all other flags but -shards and -partition)")
 		shards  = flag.Int("shards", 0, "simulation engine: 0 = serial (default), N >= 1 = conservative parallel engine with N shards")
 		partArg = flag.String("partition", "", "partition the grid model across shards: 'auto' or 'node=shard,...'")
 	)
@@ -46,22 +47,25 @@ func main() {
 	if *shards < 0 {
 		fail(fmt.Errorf("-shards must be >= 0"))
 	}
-	if *shards > 0 {
-		microgrid.SetEngineShards(*shards)
-	}
+	var partition *microgrid.PartitionConfig
 	if *partArg != "" {
 		pc, err := microgrid.ParsePartitionFlag(*partArg)
 		if err != nil {
 			fail(err)
 		}
-		microgrid.SetEnginePartition(pc)
+		partition = pc
 	}
 	if *scen != "" {
 		s, err := microgrid.LoadScenario(*scen)
 		if err != nil {
 			fail(err)
 		}
-		report, err := microgrid.RunScenarioEnv(s, microgrid.ScenarioEnv{BaseDir: filepath.Dir(*scen)})
+		checkPartition(partition, *shards, s.EngineShards)
+		report, err := microgrid.RunScenarioEnv(s, microgrid.ScenarioEnv{
+			BaseDir:   filepath.Dir(*scen),
+			Shards:    *shards,
+			Partition: partition,
+		})
 		if err != nil {
 			fail(err)
 		}
@@ -83,7 +87,8 @@ func main() {
 		fail(err)
 	}
 
-	opts := microgrid.GISBuildOptions{Seed: *seed, Rate: *rate}
+	checkPartition(partition, *shards, 0)
+	opts := microgrid.GISBuildOptions{Seed: *seed, Rate: *rate, Shards: *shards, Partition: partition}
 	if *physArg != "" {
 		opts.PhysMIPS = map[string]float64{}
 		for _, pair := range strings.Split(*physArg, ",") {
@@ -142,6 +147,15 @@ func printReport(report *microgrid.Report) {
 	sort.Strings(hosts)
 	for _, h := range hosts {
 		fmt.Printf("utilization:     %-24s %.1f%%\n", h, 100*report.HostUtilization[h])
+	}
+}
+
+// checkPartition refuses a -partition that no shard count backs: without
+// -shards or the scenario's engine line the build is serial and the
+// placement would be silently ignored.
+func checkPartition(pc *microgrid.PartitionConfig, shards, scenarioShards int) {
+	if pc != nil && shards == 0 && scenarioShards == 0 {
+		fail(fmt.Errorf("-partition needs a shard count: pass -shards N (or run a scenario with an engine line)"))
 	}
 }
 

@@ -141,7 +141,7 @@ func TestGetExperiment(t *testing.T) {
 }
 
 func TestFig05Quick(t *testing.T) {
-	e, err := Fig05Memory(true)
+	e, err := Fig05Memory(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFig05Quick(t *testing.T) {
 }
 
 func TestFig06Quick(t *testing.T) {
-	e, err := Fig06CPUFraction(true)
+	e, err := Fig06CPUFraction(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFig06Quick(t *testing.T) {
 }
 
 func TestFig07Quick(t *testing.T) {
-	e, err := Fig07QuantaDistribution(true)
+	e, err := Fig07QuantaDistribution(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFig07Quick(t *testing.T) {
 }
 
 func TestFig08Quick(t *testing.T) {
-	e, err := Fig08NetworkModel(true)
+	e, err := Fig08NetworkModel(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestFig08Quick(t *testing.T) {
 }
 
 func TestFig09(t *testing.T) {
-	e, err := Fig09Configurations(false)
+	e, err := Fig09Configurations(false, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFig09(t *testing.T) {
 }
 
 func TestFig10Quick(t *testing.T) {
-	e, err := Fig10NPBClassA(true)
+	e, err := Fig10NPBClassA(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFig10Quick(t *testing.T) {
 }
 
 func TestFig11Quick(t *testing.T) {
-	e, err := Fig11QuantumSweep(true)
+	e, err := Fig11QuantumSweep(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestFig11Quick(t *testing.T) {
 }
 
 func TestFig12Quick(t *testing.T) {
-	e, err := Fig12CPUScaling(true)
+	e, err := Fig12CPUScaling(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFig12Quick(t *testing.T) {
 }
 
 func TestFig14Quick(t *testing.T) {
-	e, err := Fig14VBNSDegrade(true)
+	e, err := Fig14VBNSDegrade(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestFig14Quick(t *testing.T) {
 }
 
 func TestFig15Quick(t *testing.T) {
-	e, err := Fig15EmulationRates(true)
+	e, err := Fig15EmulationRates(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestFig15Quick(t *testing.T) {
 }
 
 func TestFig16Quick(t *testing.T) {
-	e, err := Fig16Cactus(true)
+	e, err := Fig16Cactus(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestFig16Quick(t *testing.T) {
 }
 
 func TestFig17Quick(t *testing.T) {
-	e, err := Fig17Autopilot(true)
+	e, err := Fig17Autopilot(true, ScenarioEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,10 @@ func (e *Experiment) MetricKeys() []string {
 
 // ExperimentFunc runs one experiment at the given scale. quick selects a
 // reduced problem size for fast runs (tests, smoke checks); the full size
-// matches the paper where tractable.
-type ExperimentFunc func(quick bool) (*Experiment, error)
+// matches the paper where tractable. Every arm builds its grid through
+// BuildScenarioEnv with env, so the invocation's engine and trace
+// settings reach each build.
+type ExperimentFunc func(quick bool, env ScenarioEnv) (*Experiment, error)
 
 // ExperimentInfo is one registry entry: the figure id, its one-line
 // description (sourced from the representative scenario's metadata, so

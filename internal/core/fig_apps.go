@@ -36,7 +36,7 @@ func Fig16Scenario() *scenario.Scenario {
 // Fig16Cactus reproduces the full-application validation (Fig. 16):
 // CACTUS WaveToy at grid edges 50 and 250 on the Alpha-cluster model,
 // physical vs MicroGrid. The paper matches within 5–7%.
-func Fig16Cactus(quick bool) (*Experiment, error) {
+func Fig16Cactus(quick bool, env ScenarioEnv) (*Experiment, error) {
 	edges := []int{50, 250}
 	steps := 100
 	if quick {
@@ -48,11 +48,11 @@ func Fig16Cactus(quick bool) (*Experiment, error) {
 	m := map[string]float64{}
 	worst := 0.0
 	for _, edge := range edges {
-		pr, err := RunScenario(fig16Scenario(edge, steps, false))
+		pr, err := RunScenarioEnv(fig16Scenario(edge, steps, false), env)
 		if err != nil {
 			return nil, err
 		}
-		er, err := RunScenario(fig16Scenario(edge, steps, true))
+		er, err := RunScenarioEnv(fig16Scenario(edge, steps, true), env)
 		if err != nil {
 			return nil, err
 		}
@@ -97,8 +97,8 @@ func Fig17Scenario() *scenario.Scenario {
 // runNPBTraced runs the scenario's kernel with an Autopilot sensor
 // attached to its iteration counter on rank 0, sampled every
 // Workload.SamplePeriod of virtual time.
-func runNPBTraced(s *scenario.Scenario) ([]autopilot.Sample, *Report, error) {
-	m, err := BuildScenario(s)
+func runNPBTraced(s *scenario.Scenario, env ScenarioEnv) ([]autopilot.Sample, *Report, error) {
+	m, err := BuildScenarioEnv(s, env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,7 +136,7 @@ func runNPBTraced(s *scenario.Scenario) ([]autopilot.Sample, *Report, error) {
 // MicroGrid, compared by RMS percentage skew. The paper reports 3.08% for
 // EP, 2.02% for BT and 8.33% for MG. The paper's MicroGrid ran at 4% CPU
 // (rate 0.04), sampling every 25 wallclock seconds = 1 virtual second.
-func Fig17Autopilot(quick bool) (*Experiment, error) {
+func Fig17Autopilot(quick bool, env ScenarioEnv) (*Experiment, error) {
 	type job struct {
 		bench string
 		class npb.Class
@@ -155,11 +155,11 @@ func Fig17Autopilot(quick bool) (*Experiment, error) {
 		"bench", "samples", "rms_skew_%")
 	m := map[string]float64{}
 	for _, j := range jobs {
-		physTrace, _, err := runNPBTraced(fig17Scenario(j.bench, j.class, period, false, 0))
+		physTrace, _, err := runNPBTraced(fig17Scenario(j.bench, j.class, period, false, 0), env)
 		if err != nil {
 			return nil, fmt.Errorf("fig17 %s physical: %w", j.bench, err)
 		}
-		emuTrace, _, err := runNPBTraced(fig17Scenario(j.bench, j.class, period, true, rate))
+		emuTrace, _, err := runNPBTraced(fig17Scenario(j.bench, j.class, period, true, rate), env)
 		if err != nil {
 			return nil, fmt.Errorf("fig17 %s emulated: %w", j.bench, err)
 		}

@@ -24,7 +24,7 @@ func Fig05Scenario() *scenario.Scenario {
 // Fig05Memory reproduces the memory micro-benchmark (paper §3.2.1,
 // Fig. 5): across specified limits from 1 KB to 1 MB, a process can
 // allocate the limit minus ~1 KB of process overhead, linearly.
-func Fig05Memory(quick bool) (*Experiment, error) {
+func Fig05Memory(quick bool, _ ScenarioEnv) (*Experiment, error) {
 	limitsKB := []int64{1, 2, 5, 10, 20, 50, 100, 200, 400, 600, 800, 1000}
 	if quick {
 		limitsKB = []int64{1, 10, 100, 1000}
@@ -106,7 +106,7 @@ func fig06Measure(sc *scenario.Scenario, fraction float64, competition string, s
 // with IO- and CPU-intensive competitors. The paper's findings: accurate
 // tracking up to ~95% alone, and failure to deliver above ~40–50% under
 // competition.
-func Fig06CPUFraction(quick bool) (*Experiment, error) {
+func Fig06CPUFraction(quick bool, _ ScenarioEnv) (*Experiment, error) {
 	fractions := []float64{0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90, 0.95}
 	seconds := 30.0
 	if quick {
@@ -154,7 +154,7 @@ func Fig07Scenario() *scenario.Scenario {
 // (Fig. 7): ~9000 samples of the scheduler's enabled-window lengths,
 // normalized to mean 1, under the three competition modes. Paper:
 // mean≈1.000/1.01/0.978 with deviations 0.002/0.015/0.027.
-func Fig07QuantaDistribution(quick bool) (*Experiment, error) {
+func Fig07QuantaDistribution(quick bool, _ ScenarioEnv) (*Experiment, error) {
 	seconds := 90.0 // three ~30s sessions, ≈9000 quanta total at 10ms
 	if quick {
 		seconds = 10

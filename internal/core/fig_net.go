@@ -43,8 +43,8 @@ type fig08Point struct {
 
 // fig08Run executes the MPI latency/bandwidth micro-benchmarks on the
 // grid one fig08 arm describes.
-func fig08Run(emulated bool, sizes []int) (map[int]fig08Point, error) {
-	m, err := BuildScenario(fig08Scenario(emulated))
+func fig08Run(emulated bool, sizes []int, env ScenarioEnv) (map[int]fig08Point, error) {
+	m, err := BuildScenarioEnv(fig08Scenario(emulated), env)
 	if err != nil {
 		return nil, err
 	}
@@ -131,16 +131,16 @@ func fig08Run(emulated bool, sizes []int) (map[int]fig08Point, error) {
 // (Fig. 8): MPI latency and bandwidth across message sizes on a 100 Mb
 // Ethernet, real system vs MicroGrid — "the simulated network has similar
 // characteristics with the real system".
-func Fig08NetworkModel(quick bool) (*Experiment, error) {
+func Fig08NetworkModel(quick bool, env ScenarioEnv) (*Experiment, error) {
 	sizes := fig08Sizes
 	if quick {
 		sizes = []int{4, 1024, 65536}
 	}
-	real, err := fig08Run(false, sizes)
+	real, err := fig08Run(false, sizes, env)
 	if err != nil {
 		return nil, err
 	}
-	emu, err := fig08Run(true, sizes)
+	emu, err := fig08Run(true, sizes, env)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +192,7 @@ func Fig09Scenario() *scenario.Scenario {
 
 // Fig09Configurations regenerates the virtual grid configurations table
 // (Fig. 9).
-func Fig09Configurations(bool) (*Experiment, error) {
+func Fig09Configurations(bool, ScenarioEnv) (*Experiment, error) {
 	tbl := metrics.NewTable("Fig. 9 — virtual grid configurations studied",
 		"name", "#procs", "type_procs", "network", "compiler")
 	for _, c := range []MachineConfig{AlphaCluster, HPVM} {

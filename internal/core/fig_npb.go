@@ -44,15 +44,15 @@ func RunNPBOnce(cfg BuildConfig, bench string, class npb.Class) (simcore.Duratio
 
 // npbPair runs physical (direct) and MicroGrid (emulated) instances of
 // one benchmark and returns both virtual times.
-func npbPair(target MachineConfig, bench string, class npb.Class, quantum simcore.Duration, rate float64) (phys, emu simcore.Duration, err error) {
-	pr, err := RunScenario(npbScenario("fig10-physical", 10, target, bench, class))
+func npbPair(target MachineConfig, bench string, class npb.Class, quantum simcore.Duration, rate float64, env ScenarioEnv) (phys, emu simcore.Duration, err error) {
+	pr, err := RunScenarioEnv(npbScenario("fig10-physical", 10, target, bench, class), env)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s physical: %w", bench, err)
 	}
 	// Emulate on hardware identical to the target.
 	es := emulateOn(npbScenario("fig10-emulated", 10, target, bench, class), target, rate)
 	es.Quantum = quantum
-	er, err := RunScenario(es)
+	er, err := RunScenarioEnv(es, env)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s emulated: %w", bench, err)
 	}
@@ -83,7 +83,7 @@ func Fig10Scenario() *scenario.Scenario {
 // class A total run times on the Alpha cluster and HPVM configurations,
 // physical grid vs MicroGrid. The paper matches IS/LU/MG within 2% and
 // EP/BT within 4%.
-func Fig10NPBClassA(quick bool) (*Experiment, error) {
+func Fig10NPBClassA(quick bool, env ScenarioEnv) (*Experiment, error) {
 	class := npb.ClassA
 	if quick {
 		class = npb.ClassS
@@ -94,7 +94,7 @@ func Fig10NPBClassA(quick bool) (*Experiment, error) {
 	worst := 0.0
 	for _, target := range []MachineConfig{AlphaCluster, HPVM} {
 		for _, bench := range npb.Names() {
-			phys, emu, err := npbPair(target, bench, class, 0, fig10Rate)
+			phys, emu, err := npbPair(target, bench, class, 0, fig10Rate, env)
 			if err != nil {
 				return nil, err
 			}
@@ -145,7 +145,7 @@ func Fig11Scenario() *scenario.Scenario {
 // NPB class S totals under MicroGrid slices of 2.5, 5, 10 and 30 ms,
 // against the physical run. The paper: frequently synchronizing codes
 // match better with shorter quanta.
-func Fig11QuantumSweep(quick bool) (*Experiment, error) {
+func Fig11QuantumSweep(quick bool, env ScenarioEnv) (*Experiment, error) {
 	benches := []string{"MG", "BT", "LU", "EP"}
 	quanta := []simcore.Duration{
 		2500 * simcore.Microsecond,
@@ -161,7 +161,7 @@ func Fig11QuantumSweep(quick bool) (*Experiment, error) {
 		"bench", "pgrid_s", "slice", "mgrid_s", "err_%")
 	m := map[string]float64{}
 	for _, bench := range benches {
-		pr, err := RunScenario(npbScenario("fig11-physical", 11, AlphaCluster, bench, npb.ClassS))
+		pr, err := RunScenarioEnv(npbScenario("fig11-physical", 11, AlphaCluster, bench, npb.ClassS), env)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +175,7 @@ func Fig11QuantumSweep(quick bool) (*Experiment, error) {
 			// the phase misalignment is what makes the error scale with the
 			// quantum (shorter slice = shorter misalignment stalls).
 			s.Stagger = fig11Stagger
-			er, err := RunScenario(s)
+			er, err := RunScenarioEnv(s, env)
 			if err != nil {
 				return nil, err
 			}
@@ -214,7 +214,7 @@ func Fig12Scenario() *scenario.Scenario {
 // (Fig. 12): run times with 1×/2×/4×/8× CPU speed while the network is
 // held at 1 Mb/s with 50 ms latency, normalized to 1×. EP speeds up
 // nearly linearly; communication-bound codes saturate.
-func Fig12CPUScaling(quick bool) (*Experiment, error) {
+func Fig12CPUScaling(quick bool, env ScenarioEnv) (*Experiment, error) {
 	benches := []string{"MG", "BT", "LU", "EP"}
 	factors := []float64{1, 2, 4, 8}
 	if quick {
@@ -228,7 +228,7 @@ func Fig12CPUScaling(quick bool) (*Experiment, error) {
 		var base float64
 		for _, f := range factors {
 			target := fig12SlowNet(AlphaCluster.Scale(f))
-			r, err := RunScenario(npbScenario("fig12-cpu-scaling", 12, target, bench, npb.ClassS))
+			r, err := RunScenarioEnv(npbScenario("fig12-cpu-scaling", 12, target, bench, npb.ClassS), env)
 			if err != nil {
 				return nil, err
 			}
@@ -287,7 +287,7 @@ func Fig14Scenario() *scenario.Scenario {
 // vBNS testbed, varying the major WAN link through 622, 155 and 10 Mb/s.
 // The paper: performance is only mildly sensitive to bandwidth — latency
 // dominates for all but EP.
-func Fig14VBNSDegrade(quick bool) (*Experiment, error) {
+func Fig14VBNSDegrade(quick bool, env ScenarioEnv) (*Experiment, error) {
 	benches := []string{"LU", "BT", "MG", "EP"}
 	bandwidths := []float64{topology.OC12Bps, topology.OC3Bps, 10e6}
 	if quick {
@@ -303,7 +303,7 @@ func Fig14VBNSDegrade(quick bool) (*Experiment, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := RunScenario(s)
+			r, err := RunScenarioEnv(s, env)
 			if err != nil {
 				return nil, err
 			}
@@ -335,7 +335,7 @@ func Fig15Scenario() *scenario.Scenario {
 // Fig15EmulationRates reproduces the rate-invariance study (Fig. 15): the
 // same workload emulated at 1×, 2×, 4× and 8× slowdown yields (nearly)
 // identical virtual-time results.
-func Fig15EmulationRates(quick bool) (*Experiment, error) {
+func Fig15EmulationRates(quick bool, env ScenarioEnv) (*Experiment, error) {
 	benches := []string{"MG", "BT", "LU", "EP"}
 	slowdowns := []float64{1, 2, 4, 8}
 	class := npb.ClassA
@@ -353,7 +353,7 @@ func Fig15EmulationRates(quick bool) (*Experiment, error) {
 			rate := fig10Rate / slow
 			s := emulateOn(npbScenario("fig15-rate-invariance", 15, AlphaCluster, bench, class),
 				AlphaCluster, rate)
-			r, err := RunScenario(s)
+			r, err := RunScenarioEnv(s, env)
 			if err != nil {
 				return nil, err
 			}

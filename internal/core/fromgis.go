@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"microgrid/internal/gis"
-	"microgrid/internal/globus"
 	"microgrid/internal/netsim"
 	"microgrid/internal/simcore"
 	"microgrid/internal/virtual"
@@ -41,6 +40,22 @@ type GISBuildOptions struct {
 // IPs, CPU speeds, memory and physical mappings; the configuration's LAN
 // record supplies bandwidth and per-side latency.
 func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (*MicroGrid, error) {
+	return buildFromGIS(server, configName, opts.PhysMIPS, BuildConfig{
+		Seed:          opts.Seed,
+		Rate:          opts.Rate,
+		Quantum:       opts.Quantum,
+		StaggerSpread: opts.StaggerSpread,
+		Shards:        opts.Shards,
+		Partition:     opts.Partition,
+	}, nil)
+}
+
+// buildFromGIS is BuildFromGIS over the build description every front
+// end shares: the records define the virtual hosts and their network
+// (cfg's target and topology fields are ignored), physMIPS is the
+// emulation platform (nil = direct mode), and cfg supplies the rest —
+// seed, rate, message costs, network fidelity, engine and tracing.
+func buildFromGIS(server *gis.Server, configName string, physMIPS map[string]float64, cfg BuildConfig, traces *TraceCollector) (*MicroGrid, error) {
 	hosts, nets, err := gis.VirtualResources(server, configName)
 	if err != nil {
 		return nil, err
@@ -61,10 +76,7 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 		}
 	}
 
-	vcfg := virtual.Config{
-		Rate:          opts.Rate,
-		StaggerSpread: opts.StaggerSpread,
-	}
+	var vcfg virtual.Config
 	var hostNames []string
 	for _, h := range hosts {
 		if h.VirtualIP == "" {
@@ -87,7 +99,7 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 		})
 	}
 
-	if opts.PhysMIPS == nil {
+	if physMIPS == nil {
 		// Direct mode: dedicated physical machine per virtual host.
 		vcfg.Direct = true
 		for i := range vcfg.Hosts {
@@ -104,7 +116,7 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 			if h.MappedPhysical == "" {
 				return nil, fmt.Errorf("core: host record %s has no Mapped_Physical_Resource", h.Name)
 			}
-			mips, ok := opts.PhysMIPS[h.MappedPhysical]
+			mips, ok := physMIPS[h.MappedPhysical]
 			if !ok {
 				return nil, fmt.Errorf("core: no PhysMIPS calibration for %q (host %s)", h.MappedPhysical, h.Name)
 			}
@@ -113,68 +125,14 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 				vcfg.Phys = append(vcfg.Phys, virtual.PhysConfig{
 					Name:         h.MappedPhysical,
 					CPUSpeedMIPS: mips,
-					Quantum:      opts.Quantum,
+					Quantum:      cfg.Quantum,
 				})
 			}
 		}
 	}
 
-	partition := resolvePartition(opts.Partition)
-	if partition != nil && opts.PhysMIPS != nil {
-		return nil, fmt.Errorf("core: partitioning requires direct mode (no emulation platform)")
-	}
-	eng, driver, par := newDriver(opts.Seed, resolveShards(opts.Shards))
-	var planOf func() (*partitionPlan, error)
-	if par != nil && partition != nil {
-		vcfg.AssignEngines, planOf = partitionAssign(par, partition)
-	}
-	grid, err := virtual.NewGrid(eng, vcfg, virtual.LANWire(vcfg.Hosts, bw, perSide))
-	if err != nil {
-		return nil, err
-	}
-	var plan *partitionPlan
-	if planOf != nil {
-		if plan, err = planOf(); err != nil {
-			return nil, err
-		}
-	}
-	if par != nil {
-		if plan != nil {
-			par.SetLookahead(plan.lookahead)
-		} else if d, ok := grid.Network().MinLinkDelay(); ok {
-			par.SetLookahead(d)
-		}
-	}
-	m := &MicroGrid{
-		Eng:         eng,
-		driver:      driver,
-		par:         par,
-		plan:        plan,
-		Grid:        grid,
-		GIS:         server,
-		Registry:    globus.NewRegistry(),
-		Hosts:       hostNames,
-		ConfigName:  configName,
-		gatekeepers: make(map[string]*globus.Gatekeeper),
-		cfg: BuildConfig{
-			Seed:      opts.Seed,
-			Rate:      opts.Rate,
-			Quantum:   opts.Quantum,
-			Shards:    opts.Shards,
-			Partition: opts.Partition,
-			Emulation: emulationMarker(opts.PhysMIPS != nil),
-		},
-	}
-	m.wireGISHome()
-	for _, name := range hostNames {
-		gk, err := globus.StartGatekeeper(grid.Host(name), 0, m.Registry)
-		if err != nil {
-			return nil, err
-		}
-		gk.RegisterInGIS(server, OrgUnit, configName, grid.Host(name).Phys.Name)
-		m.gatekeepers[name] = gk
-	}
-	return m, nil
+	cfg.Emulation = emulationMarker(physMIPS != nil)
+	return assemble(cfg, vcfg, virtual.LANWire(vcfg.Hosts, bw, perSide), hostNames, configName, server, traces)
 }
 
 // emulationMarker yields a non-nil placeholder so IsDirect reports

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"microgrid/internal/gis"
+	"microgrid/internal/scenario"
 )
 
 const testLDIF = `
@@ -212,5 +213,41 @@ func TestBuildFromGISInfeasibleRate(t *testing.T) {
 		Rate: 1.0,
 	}); err == nil {
 		t.Fatal("infeasible rate accepted")
+	}
+}
+
+// TestGISScenarioHonoursBuildLines pins that a GIS-defined scenario gets
+// the same build tail as a target-defined one: its trace, flownet and
+// msgcost lines reach the built grid instead of being dropped.
+func TestGISScenarioHonoursBuildLines(t *testing.T) {
+	s, err := scenario.ParseString(`scenario gis-lines
+seed 1
+gis file=grid.ldif config=Test_Config
+flownet
+msgcost send=1234 perbyte=0.75
+trace categories=all buf=4096
+workload pingpong bytes=1024
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := BuildScenarioEnv(s, ScenarioEnv{GIS: ldifServer(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Eng.Recorder() == nil {
+		t.Error("trace line ignored: no recorder attached")
+	}
+	if !m.Grid.Network().FlowMode() {
+		t.Error("flownet line ignored: network is packet-level")
+	}
+	if send, perByte := m.Grid.MessageCost(); send != 1234 || perByte != 0.75 {
+		t.Errorf("msgcost line ignored: message cost = %v send, %v per byte", send, perByte)
+	}
+	if _, err := m.RunWorkload(s); err != nil {
+		t.Fatal(err)
+	}
+	if tr := m.Trace(); len(tr.Events) == 0 || tr.Label != "Test_Config" {
+		t.Errorf("trace = %d events labeled %q, want events labeled Test_Config", len(tr.Events), tr.Label)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"microgrid/internal/netsim"
 	"microgrid/internal/simcore"
 	"microgrid/internal/topology"
+	"microgrid/internal/trace"
 	"microgrid/internal/virtual"
 	"microgrid/internal/vtime"
 )
@@ -69,9 +70,10 @@ type BuildConfig struct {
 	// bit-identical at any shard count — only CatEngine dispatch
 	// telemetry (stripped from partitioned traces) is shard-dependent.
 	Partition *PartitionConfig
-	// Trace, when non-nil, attaches a structured trace recorder to this
-	// instance's engine. Nil falls back to the global tracing switch (see
-	// EnableTracing), which cmd/mgrid's -trace flag arms.
+	// Trace, when non-nil, attaches a structured trace recorder to every
+	// engine this instance's model spans. Nil leaves a Build untraced; a
+	// scenario build without a trace line records into its env's trace
+	// collector instead, if it has one (see ScenarioEnv.Trace).
 	Trace *TraceConfig
 }
 
@@ -105,6 +107,9 @@ type MicroGrid struct {
 	// plan is the resolved cluster→shard placement (nil when the model
 	// is not partitioned).
 	plan *partitionPlan
+	// recs are the trace recorders on the engines the model spans (nil
+	// when untraced); Trace merges them.
+	recs []*trace.Recorder
 	// The GIS directory lives with Hosts[0]; on a multi-cluster grid,
 	// updates from another cluster bear the inter-cluster latency (and,
 	// when partitioned, cross onto the GIS's shard) so discovery sees
@@ -113,44 +118,6 @@ type MicroGrid struct {
 	gisCluster int
 	gisDelay   simcore.Duration
 	gisEng     *simcore.Engine
-}
-
-// engineShardsOverride, when > 0, forces every subsequently built
-// instance onto the parallel engine with that many shards. The CLIs'
-// -shards flag sets it; it outranks BuildConfig.Shards.
-var engineShardsOverride int
-
-// SetEngineShards installs a process-wide engine override: n ≥ 1 forces
-// the parallel engine with n shards, 0 restores per-config choice.
-func SetEngineShards(n int) { engineShardsOverride = n }
-
-// EngineShards returns the current process-wide engine override.
-func EngineShards() int { return engineShardsOverride }
-
-// resolveShards applies the process-wide override to a config's choice.
-func resolveShards(cfgShards int) int {
-	if engineShardsOverride > 0 {
-		return engineShardsOverride
-	}
-	return cfgShards
-}
-
-// enginePartitionOverride, when non-nil, partitions every subsequently
-// built instance (the CLIs' -partition flag); it outranks
-// BuildConfig.Partition.
-var enginePartitionOverride *PartitionConfig
-
-// SetEnginePartition installs a process-wide partition override; nil
-// restores per-config choice.
-func SetEnginePartition(pc *PartitionConfig) { enginePartitionOverride = pc }
-
-// resolvePartition applies the process-wide override to a config's
-// choice.
-func resolvePartition(cfgPartition *PartitionConfig) *PartitionConfig {
-	if enginePartitionOverride != nil {
-		return enginePartitionOverride
-	}
-	return cfgPartition
 }
 
 // newDriver builds the chosen engine pair: the Engine model code runs
@@ -177,15 +144,14 @@ func (m *MicroGrid) runSim() error {
 }
 
 // Build constructs the MicroGrid.
-func Build(cfg BuildConfig) (*MicroGrid, error) {
+func Build(cfg BuildConfig) (*MicroGrid, error) { return build(cfg, nil) }
+
+// build is Build with the trace collector a scenario build hands down
+// (nil for none).
+func build(cfg BuildConfig, traces *TraceCollector) (*MicroGrid, error) {
 	if cfg.Target.Procs <= 0 {
 		return nil, fmt.Errorf("core: target needs at least one processor")
 	}
-	partition := resolvePartition(cfg.Partition)
-	if partition != nil && cfg.Emulation != nil {
-		return nil, fmt.Errorf("core: partitioning requires direct mode (no emulation platform)")
-	}
-	eng, driver, par := newDriver(cfg.Seed, resolveShards(cfg.Shards))
 	configName := cfg.Target.Name
 	if cfg.Emulation != nil {
 		configName += " (emulated)"
@@ -258,18 +224,11 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 	// are the point), hand-written grids past a threshold no committed
 	// scenario reaches (so small grids keep their historical build path
 	// bit-for-bit).
-	lazy := cfg.Emulation == nil && (generated || len(hostCfgs) >= lazyHostThreshold)
+	vcfg := virtual.Config{
+		Lazy: cfg.Emulation == nil && (generated || len(hostCfgs) >= lazyHostThreshold),
+	}
 
 	// Physical platform and mapping.
-	vcfg := virtual.Config{
-		Hosts:           hostCfgs,
-		Rate:            cfg.Rate,
-		SendOverheadOps: cfg.SendOverheadOps,
-		PerByteOps:      cfg.PerByteOps,
-		StaggerSpread:   cfg.StaggerSpread,
-		FlowNetwork:     cfg.FlowNetwork,
-		Lazy:            lazy,
-	}
 	if cfg.Emulation == nil {
 		vcfg.Direct = true
 		for i := range hostCfgs {
@@ -302,9 +261,46 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 		}
 	}
 
+	m, err := assemble(cfg, vcfg, wire, hostNames, configName, gis.NewServer(), traces)
+	if err != nil {
+		return nil, err
+	}
+	// Network record(s), in the paper's Fig. 3 style.
+	netRec := gis.VirtualNetwork{
+		Prefix:       "1.11.11.0",
+		Parent:       "1.11.0.0",
+		OrgUnit:      OrgUnit,
+		ConfigName:   configName,
+		Type:         "LAN",
+		BandwidthBps: cfg.Target.NetBandwidthBps,
+		Delay:        cfg.Target.NetPerSideDelay,
+	}
+	m.GIS.Upsert(netRec.Entry())
+	return m, nil
+}
+
+// assemble is the build tail Build and BuildFromGIS share. Given the
+// virtual hosts and physical mapping (vcfg), the network wiring and the
+// GIS directory, it picks the simulation engine, builds the grid
+// runtime — its clusters placed on shards when partitioned — sets the
+// parallel lookahead, attaches trace recorders, wires the GIS home and
+// starts a gatekeeper on every host (a lazy grid defers those to
+// EnsureHost, so RunApp brings up exactly its working set).
+func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, func(netsim.LinkConfig) netsim.LinkConfig) error,
+	hostNames []string, configName string, server *gis.Server, traces *TraceCollector) (*MicroGrid, error) {
+	if cfg.Partition != nil && cfg.Emulation != nil {
+		return nil, fmt.Errorf("core: partitioning requires direct mode (no emulation platform)")
+	}
+	vcfg.Rate = cfg.Rate
+	vcfg.SendOverheadOps = cfg.SendOverheadOps
+	vcfg.PerByteOps = cfg.PerByteOps
+	vcfg.StaggerSpread = cfg.StaggerSpread
+	vcfg.FlowNetwork = cfg.FlowNetwork
+
+	eng, driver, par := newDriver(cfg.Seed, cfg.Shards)
 	var planOf func() (*partitionPlan, error)
-	if par != nil && partition != nil {
-		vcfg.AssignEngines, planOf = partitionAssign(par, partition)
+	if par != nil && cfg.Partition != nil {
+		vcfg.AssignEngines, planOf = partitionAssign(par, cfg.Partition)
 	}
 	grid, err := virtual.NewGrid(eng, vcfg, wire)
 	if err != nil {
@@ -327,29 +323,27 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 			par.SetLookahead(d)
 		}
 	}
-	attachRecorders(eng, par, plan, cfg.Trace, configName)
 
 	m := &MicroGrid{
 		Eng:         eng,
 		Grid:        grid,
-		GIS:         gis.NewServer(),
+		GIS:         server,
 		Registry:    globus.NewRegistry(),
 		Hosts:       hostNames,
 		ConfigName:  configName,
 		cfg:         cfg,
 		gatekeepers: make(map[string]*globus.Gatekeeper),
-		lazy:        lazy,
+		lazy:        vcfg.Lazy,
 		ensured:     make(map[string]bool),
 		driver:      driver,
 		par:         par,
 		plan:        plan,
+		recs:        attachRecorders(eng, par, plan, cfg.Trace, traces, configName),
 	}
 	m.wireGISHome()
 
 	// Globus: a gatekeeper on every virtual host, registered in the GIS.
-	// A lazy grid defers this to EnsureHost — RunApp brings up exactly
-	// its working set before submitting.
-	if !lazy {
+	if !m.lazy {
 		for _, name := range hostNames {
 			gk, err := globus.StartGatekeeper(grid.Host(name), 0, m.Registry)
 			if err != nil {
@@ -359,17 +353,6 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 			m.gatekeepers[name] = gk
 		}
 	}
-	// Network record(s), in the paper's Fig. 3 style.
-	netRec := gis.VirtualNetwork{
-		Prefix:       "1.11.11.0",
-		Parent:       "1.11.0.0",
-		OrgUnit:      OrgUnit,
-		ConfigName:   configName,
-		Type:         "LAN",
-		BandwidthBps: cfg.Target.NetBandwidthBps,
-		Delay:        cfg.Target.NetPerSideDelay,
-	}
-	m.GIS.Upsert(netRec.Entry())
 	return m, nil
 }
 

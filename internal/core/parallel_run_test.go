@@ -17,9 +17,7 @@ import (
 // compares across {serial, shards=2, shards=4} × {-j1, -j4}.
 func chaosTracedRun(t *testing.T, shards int) (*Report, []byte) {
 	t.Helper()
-	EnableTracing(TraceConfig{Mask: trace.CatAll})
-	defer ResetTracing()
-
+	traces := NewTraceCollector(TraceConfig{Mask: trace.CatAll})
 	s := ChaosCrashScenario()
 	s.Workload.Class = 'S'
 	s.EngineShards = shards
@@ -33,7 +31,7 @@ func chaosTracedRun(t *testing.T, shards int) (*Report, []byte) {
 		MaxAttempts:   3,
 		Backoff:       100 * simcore.Millisecond,
 	}
-	m, err := BuildScenario(s)
+	m, err := BuildScenarioEnv(s, ScenarioEnv{Trace: traces})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +46,7 @@ func chaosTracedRun(t *testing.T, shards int) (*Report, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTraceJSONL(&buf); err != nil {
+	if err := trace.WriteJSONL(&buf, traces.Runs()); err != nil {
 		t.Fatal(err)
 	}
 	return rep, buf.Bytes()
@@ -74,13 +72,11 @@ func TestParallelModelRunByteIdentical(t *testing.T) {
 }
 
 // TestShardsOverrideOutranksScenario pins the CLI contract: the -shards
-// flag (SetEngineShards) outranks the scenario's engine line.
+// flag (ScenarioEnv.Shards) outranks the scenario's engine line.
 func TestShardsOverrideOutranksScenario(t *testing.T) {
-	SetEngineShards(2)
-	defer SetEngineShards(0)
 	s := ChaosCrashScenario()
 	s.EngineShards = 0 // scenario says serial; the override must win
-	m, err := BuildScenario(s)
+	m, err := BuildScenarioEnv(s, ScenarioEnv{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,11 +164,11 @@ func ParsePartitionFlag(v string) (*PartitionConfig, error) {
 // building hosts or running anything: the scenario's topology is wired
 // into a throwaway network and planned exactly as Build would. It
 // returns the node→shard placement, the synchronization lookahead, and
-// the shard count (after any process-wide overrides). A nil map with a
-// nil error means partitioning would be a no-op for this scenario.
+// the shard count. A nil map with a nil error means partitioning would
+// be a no-op for this scenario.
 func PartitionPreview(s *scenario.Scenario) (map[string]int, simcore.Duration, int, error) {
-	shards := resolveShards(s.EngineShards)
-	pc := resolvePartition(partitionConfig(s.Partition))
+	shards := s.EngineShards
+	pc := partitionConfig(s.Partition)
 	topo := s.Topology
 	if topo == nil && s.TopoGen != nil {
 		spec, err := topology.Generate(*s.TopoGen)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"microgrid/internal/chaos"
@@ -23,9 +25,7 @@ import (
 // it anyway; see TraceConfig.Mask).
 func partitionedChaosRun(t *testing.T, shards int) (*Report, string, string, []byte) {
 	t.Helper()
-	EnableTracing(TraceConfig{Mask: trace.CatAll &^ trace.CatEngine})
-	defer ResetTracing()
-
+	traces := NewTraceCollector(TraceConfig{Mask: trace.CatAll &^ trace.CatEngine})
 	s := Fig14Scenario()
 	s.Workload.Bench = "MG"
 	s.Workload.Class = 'S'
@@ -45,7 +45,7 @@ func partitionedChaosRun(t *testing.T, shards int) (*Report, string, string, []b
 		BackoffJitter: 50 * simcore.Millisecond,
 	}
 
-	m, err := BuildScenario(s)
+	m, err := BuildScenarioEnv(s, ScenarioEnv{Trace: traces})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func partitionedChaosRun(t *testing.T, shards int) (*Report, string, string, []b
 	}
 	timeline := chaos.FormatTimeline(m.ChaosTimeline())
 	var buf bytes.Buffer
-	if err := WriteTraceJSONL(&buf); err != nil {
+	if err := trace.WriteJSONL(&buf, traces.Runs()); err != nil {
 		t.Fatal(err)
 	}
 	return rep, FormatScenarioReport(s.Name, rep), timeline, buf.Bytes()
@@ -233,6 +233,73 @@ func TestParsePartitionFlag(t *testing.T) {
 	for _, bad := range []string{"nope", "a=", "a=x", "a=-1", "a=1,a=2"} {
 		if _, err := ParsePartitionFlag(bad); err == nil {
 			t.Errorf("ParsePartitionFlag(%q) accepted", bad)
+		}
+	}
+}
+
+// TestConcurrentEnvsIsolated runs the same vBNS scenario three times at
+// once in one process, each build under its own env — serial, two
+// shards, two shards partitioned — and its own trace collector. Engine
+// and trace settings are per-build values, so the runs cannot see each
+// other's: every collector holds exactly its own build, and reports and
+// traces are byte-identical across the three engines.
+func TestConcurrentEnvsIsolated(t *testing.T) {
+	envs := []ScenarioEnv{
+		{},
+		{Shards: 2},
+		{Shards: 2, Partition: &PartitionConfig{Auto: true}},
+	}
+	reports := make([]string, len(envs))
+	traces := make([][]byte, len(envs))
+	errs := make([]error, len(envs))
+	var wg sync.WaitGroup
+	for i := range envs {
+		envs[i].Trace = NewTraceCollector(TraceConfig{Mask: trace.CatAll &^ trace.CatEngine})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s := Fig14Scenario()
+			s.Workload.Bench = "MG"
+			m, err := BuildScenarioEnv(s, envs[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if got, want := m.Partitioned(), envs[i].Partition != nil; got != want {
+				errs[i] = fmt.Errorf("partitioned = %v, want %v", got, want)
+				return
+			}
+			rep, err := m.RunWorkload(s)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			reports[i] = FormatScenarioReport(s.Name, rep)
+			var buf bytes.Buffer
+			errs[i] = trace.WriteJSONL(&buf, envs[i].Trace.Runs())
+			traces[i] = buf.Bytes()
+		}(i)
+	}
+	wg.Wait()
+	for i, env := range envs {
+		if errs[i] != nil {
+			t.Fatalf("env %d: %v", i, errs[i])
+		}
+		runs := env.Trace.Runs()
+		if len(runs) != 1 || runs[0].Label != "00:Alpha Cluster" {
+			labels := make([]string, len(runs))
+			for j, r := range runs {
+				labels[j] = r.Label
+			}
+			t.Errorf("env %d: collector holds %v, want only its own build 00:Alpha Cluster", i, labels)
+		} else if runs[0].Emitted == 0 {
+			t.Errorf("env %d: collector recorded no events", i)
+		}
+		if reports[i] != reports[0] {
+			t.Errorf("env %d: report diverged from serial:\n%s\nvs\n%s", i, reports[i], reports[0])
+		}
+		if !bytes.Equal(traces[i], traces[0]) {
+			t.Errorf("env %d: trace JSONL diverged from serial (%d vs %d bytes)", i, len(traces[i]), len(traces[0]))
 		}
 	}
 }

@@ -21,7 +21,9 @@ import (
 // scenario file goes through this one construction path.
 
 // ScenarioEnv supplies what a scenario's external references resolve
-// against.
+// against, plus the invocation-wide settings a CLI applies to every
+// build it makes (its -shards, -partition and -trace flags). The zero
+// value builds exactly what the scenario says.
 type ScenarioEnv struct {
 	// GIS, when non-nil, satisfies the scenario's gis reference from an
 	// in-memory server instead of reading the LDIF file.
@@ -29,6 +31,14 @@ type ScenarioEnv struct {
 	// BaseDir anchors relative file references (a scenario loaded from
 	// disk resolves against its own directory).
 	BaseDir string
+	// Shards, when ≥ 1, outranks the scenario's engine line: the build
+	// runs on the conservative parallel engine with this many shards.
+	Shards int
+	// Partition, when non-nil, outranks the scenario's partition line.
+	Partition *PartitionConfig
+	// Trace, when non-nil, records every build whose scenario has no
+	// trace line of its own.
+	Trace *TraceCollector
 }
 
 // machineConfig converts a scenario machine to the core config — an
@@ -130,12 +140,11 @@ func scenarioFromBuild(cfg BuildConfig) *scenario.Scenario {
 	return s
 }
 
-// buildConfig lowers a (non-GIS) scenario to the imperative build
-// description.
+// buildConfig lowers a scenario to the imperative build description (a
+// GIS scenario's records supply the target and network instead).
 func buildConfig(s *scenario.Scenario) BuildConfig {
 	cfg := BuildConfig{
 		Seed:            s.Seed,
-		Target:          machineConfig(s.Target),
 		Rate:            s.Rate,
 		Quantum:         s.Quantum,
 		Topo:            s.Topology,
@@ -147,6 +156,9 @@ func buildConfig(s *scenario.Scenario) BuildConfig {
 		FlowNetwork:     s.FlowNetwork,
 		Shards:          s.EngineShards,
 		Partition:       partitionConfig(s.Partition),
+	}
+	if s.Target != nil {
+		cfg.Target = machineConfig(s.Target)
 	}
 	if s.Emulation != nil {
 		emu := machineConfig(s.Emulation)
@@ -166,8 +178,16 @@ func BuildScenario(s *scenario.Scenario) (*MicroGrid, error) {
 	return BuildScenarioEnv(s, ScenarioEnv{})
 }
 
-// BuildScenarioEnv is BuildScenario with explicit reference resolution.
+// BuildScenarioEnv is BuildScenario with explicit reference resolution
+// and the env's engine and trace settings applied.
 func BuildScenarioEnv(s *scenario.Scenario, env ScenarioEnv) (*MicroGrid, error) {
+	cfg := buildConfig(s)
+	if env.Shards > 0 {
+		cfg.Shards = env.Shards
+	}
+	if env.Partition != nil {
+		cfg.Partition = env.Partition
+	}
 	var m *MicroGrid
 	var err error
 	switch {
@@ -189,17 +209,9 @@ func BuildScenarioEnv(s *scenario.Scenario, env ScenarioEnv) (*MicroGrid, error)
 				return nil, fmt.Errorf("core: scenario %q: %s: %w", s.Name, path, lerr)
 			}
 		}
-		m, err = BuildFromGIS(server, s.GIS.Config, GISBuildOptions{
-			Seed:          s.Seed,
-			PhysMIPS:      s.GIS.PhysMIPS,
-			Rate:          s.Rate,
-			Quantum:       s.Quantum,
-			StaggerSpread: s.Stagger,
-			Shards:        s.EngineShards,
-			Partition:     partitionConfig(s.Partition),
-		})
+		m, err = buildFromGIS(server, s.GIS.Config, s.GIS.PhysMIPS, cfg, env.Trace)
 	case s.Target != nil:
-		m, err = Build(buildConfig(s))
+		m, err = build(cfg, env.Trace)
 	default:
 		return nil, fmt.Errorf("core: scenario %q defines no virtual grid (target or gis)", s.Name)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -21,74 +20,63 @@ type TraceConfig struct {
 	BufSize int
 }
 
-// Global tracing: cmd/mgrid's -trace flags arm this once before the
-// campaign runs, and every MicroGrid Built afterwards gets its own
+// TraceCollector traces every build it is handed through
+// ScenarioEnv.Trace (cmd/mgrid's -trace flags create one per
+// invocation): each build without a trace line of its own gets a
 // recorder group — one recorder per engine the model spans, merged and
-// canonicalized at export — labeled by build order. Labels are assigned
-// under a lock but the *contents* of each recorder are produced by its
-// own engine, so exports are deterministic whenever the set of builds is
-// — which is why traced campaigns are restricted to one experiment.
-
-type traceGroup struct {
-	label string
-	recs  []*trace.Recorder
+// canonicalized at export — labeled "NN:config" by build order. Labels
+// are assigned under a lock but the *contents* of each recorder are
+// produced by its own engine, so exports are deterministic whenever the
+// set of builds is — which is why traced campaigns are restricted to one
+// experiment.
+type TraceCollector struct {
+	cfg    TraceConfig
+	mu     sync.Mutex
+	groups [][]*trace.Recorder
 }
 
-var (
-	traceMu     sync.Mutex
-	traceCfg    *TraceConfig
-	traceGroups []traceGroup
-)
+// NewTraceCollector returns an empty collector recording with cfg.
+func NewTraceCollector(cfg TraceConfig) *TraceCollector { return &TraceCollector{cfg: cfg} }
 
-// EnableTracing arms global tracing for all subsequent Builds.
-func EnableTracing(cfg TraceConfig) {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	c := cfg
-	traceCfg = &c
-	traceGroups = nil
+// group hands out the next recorder group: n recorders sharing one
+// label, which carries the build ordinal so exports sort into build
+// order.
+func (c *TraceCollector) group(configName string, n int, strip trace.Category) []*trace.Recorder {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	recs := newRecorders(c.cfg, fmt.Sprintf("%02d:%s", len(c.groups), configName), n, strip)
+	c.groups = append(c.groups, recs)
+	return recs
 }
 
-// TracingEnabled reports whether global tracing is armed.
-func TracingEnabled() bool {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	return traceCfg != nil
-}
-
-// ResetTracing disarms global tracing and drops collected recorders.
-func ResetTracing() {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	traceCfg = nil
-	traceGroups = nil
-}
-
-// newGlobalRecorders hands out the next recorder group when global
-// tracing is armed (nil otherwise): n recorders sharing one label, which
-// carries the build ordinal so exports sort into build order.
-func newGlobalRecorders(configName string, n int, strip trace.Category) []*trace.Recorder {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	if traceCfg == nil {
-		return nil
+// Runs returns every collected build's trace, in build order, each
+// group merged and canonicalized into one Run (see MicroGrid.Trace).
+func (c *TraceCollector) Runs() []trace.Run {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	runs := make([]trace.Run, 0, len(c.groups))
+	for _, g := range c.groups {
+		runs = append(runs, mergeRecorders(g))
 	}
-	label := fmt.Sprintf("%02d:%s", len(traceGroups), configName)
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Label < runs[j].Label })
+	return runs
+}
+
+func newRecorders(tc TraceConfig, label string, n int, strip trace.Category) []*trace.Recorder {
 	recs := make([]*trace.Recorder, n)
 	for i := range recs {
-		r := trace.NewRecorder(traceCfg.BufSize, traceCfg.Mask&^strip)
-		r.Label = label
-		recs[i] = r
+		recs[i] = trace.NewRecorder(tc.BufSize, tc.Mask&^strip)
+		recs[i].Label = label
 	}
-	traceGroups = append(traceGroups, traceGroup{label: label, recs: recs})
 	return recs
 }
 
 // attachRecorders wires tracing for one build: one recorder per engine
 // the model spans (shard 0 only, or every shard when partitioned), from
-// the explicit TraceConfig if given, else from the global switch.
-// Partitioned builds drop CatEngine — see TraceConfig.Mask.
-func attachRecorders(eng *simcore.Engine, par *simcore.ParallelEngine, plan *partitionPlan, tc *TraceConfig, configName string) {
+// the build's own TraceConfig if given, else from the collector (nil
+// for an untraced build). Partitioned builds drop CatEngine — see
+// TraceConfig.Mask.
+func attachRecorders(eng *simcore.Engine, par *simcore.ParallelEngine, plan *partitionPlan, tc *TraceConfig, traces *TraceCollector, configName string) []*trace.Recorder {
 	engines := []*simcore.Engine{eng}
 	strip := trace.Category(0)
 	if plan != nil {
@@ -98,40 +86,31 @@ func attachRecorders(eng *simcore.Engine, par *simcore.ParallelEngine, plan *par
 			engines = append(engines, par.Shard(i))
 		}
 	}
-	if tc != nil {
-		for _, e := range engines {
-			rec := trace.NewRecorder(tc.BufSize, tc.Mask&^strip)
-			rec.Label = configName
-			e.SetRecorder(rec)
-		}
-		return
+	var recs []*trace.Recorder
+	switch {
+	case tc != nil:
+		recs = newRecorders(*tc, configName, len(engines), strip)
+	case traces != nil:
+		recs = traces.group(configName, len(engines), strip)
 	}
-	for i, r := range newGlobalRecorders(configName, len(engines), strip) {
+	for i, r := range recs {
 		engines[i].SetRecorder(r)
 	}
+	return recs
 }
 
-// TraceSnapshots returns every build's trace, in build order: each
-// group's recorders are merged and canonicalized into one Run, so the
-// bytes are independent of how the model was partitioned.
-func TraceSnapshots() []trace.Run {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	runs := make([]trace.Run, 0, len(traceGroups))
-	for _, g := range traceGroups {
-		parts := make([]trace.Run, 0, len(g.recs))
-		for _, r := range g.recs {
-			parts = append(parts, r.Snapshot())
-		}
-		runs = append(runs, trace.MergeRuns(parts))
+// mergeRecorders merges one build's recorders into a single canonical
+// run: the bytes are independent of how the model was partitioned.
+func mergeRecorders(recs []*trace.Recorder) trace.Run {
+	parts := make([]trace.Run, 0, len(recs))
+	for _, r := range recs {
+		parts = append(parts, r.Snapshot())
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].Label < runs[j].Label })
-	return runs
+	return trace.MergeRuns(parts)
 }
 
-// WriteTraceJSONL writes the collected runs as compact JSONL.
-func WriteTraceJSONL(w io.Writer) error { return trace.WriteJSONL(w, TraceSnapshots()) }
-
-// WriteTraceChrome writes the collected runs as Chrome trace-event JSON
-// (Perfetto / chrome://tracing).
-func WriteTraceChrome(w io.Writer) error { return trace.WriteChrome(w, TraceSnapshots()) }
+// Trace returns this instance's trace as one canonical run — its
+// recorders merged and canonicalized, so the bytes are the same on the
+// serial engine and at any shard count. An untraced instance returns an
+// empty run.
+func (m *MicroGrid) Trace() trace.Run { return mergeRecorders(m.recs) }

@@ -5,13 +5,15 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"microgrid/internal/core"
 )
 
 // chaosTasks picks the chaos experiments out of the quick campaign.
 func chaosTasks(t *testing.T) []Task {
 	t.Helper()
 	var tasks []Task
-	for _, task := range Campaign(true) {
+	for _, task := range Campaign(true, core.ScenarioEnv{}) {
 		if strings.HasPrefix(task.ID, "chaos-") {
 			tasks = append(tasks, task)
 		}

@@ -248,8 +248,8 @@ func runAttempt(ctx context.Context, t Task, timeout time.Duration) (*core.Exper
 }
 
 // Campaign returns one Task per registered experiment, in paper order.
-// quick selects the reduced problem sizes.
-func Campaign(quick bool) []Task {
+// quick selects the reduced problem sizes; env reaches every build.
+func Campaign(quick bool, env core.ScenarioEnv) []Task {
 	regs := core.Experiments()
 	tasks := make([]Task, 0, len(regs))
 	for _, e := range regs {
@@ -260,7 +260,7 @@ func Campaign(quick bool) []Task {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				return fn(quick)
+				return fn(quick, env)
 			},
 		})
 	}

@@ -39,8 +39,8 @@ func okTask(id string) Task {
 // campaign.json.
 func TestCampaignParallelMatchesSequential(t *testing.T) {
 	want := len(core.Experiments())
-	seq := Run(context.Background(), Campaign(true), Options{Workers: 1})
-	par := Run(context.Background(), Campaign(true), Options{Workers: 8})
+	seq := Run(context.Background(), Campaign(true, core.ScenarioEnv{}), Options{Workers: 1})
+	par := Run(context.Background(), Campaign(true, core.ScenarioEnv{}), Options{Workers: 8})
 	if len(seq) != want || len(par) != want {
 		t.Fatalf("got %d sequential and %d parallel results, want %d", len(seq), len(par), want)
 	}
@@ -98,8 +98,8 @@ func TestScenarioPathByteIdenticalJ1J4(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	j1 := Run(context.Background(), Campaign(true), Options{Workers: 1})
-	j4 := Run(context.Background(), Campaign(true), Options{Workers: 4})
+	j1 := Run(context.Background(), Campaign(true, core.ScenarioEnv{}), Options{Workers: 1})
+	j4 := Run(context.Background(), Campaign(true, core.ScenarioEnv{}), Options{Workers: 4})
 	s1, s4 := render(j1), render(j4)
 	if !bytes.Equal(s1, s4) {
 		t.Fatal("rendered stdout differs between -j 1 and -j 4")
@@ -324,7 +324,7 @@ func TestWriteArtifacts(t *testing.T) {
 
 // TestCampaignRegistryOrder: Campaign mirrors the experiment registry.
 func TestCampaignRegistryOrder(t *testing.T) {
-	tasks := Campaign(true)
+	tasks := Campaign(true, core.ScenarioEnv{})
 	regs := core.Experiments()
 	if len(tasks) != len(regs) {
 		t.Fatalf("%d tasks, %d registered", len(tasks), len(regs))

@@ -452,6 +452,51 @@ func TestServerStream(t *testing.T) {
 	}
 }
 
+// freshArtifacts runs one submission on a server of its own (no cache
+// shared with any other run) and returns its three artifacts.
+func freshArtifacts(t *testing.T, text string) *Artifacts {
+	t.Helper()
+	s := newTestServer(t, Config{Workers: 1})
+	code, info := submit(t, s, "alice", text)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	done := waitTerminal(t, s, info.ID)
+	if done.State != string(StateDone) {
+		t.Fatalf("state %s (%s)", done.State, done.Error)
+	}
+	arts := &Artifacts{}
+	for name, dst := range map[string]*[]byte{
+		"campaign.json": &arts.CampaignJSON,
+		"stdout":        &arts.Stdout,
+		"trace.jsonl":   &arts.TraceJSONL,
+	} {
+		code, body := artifact(t, s, info.ID, name)
+		if code != http.StatusOK {
+			t.Fatalf("artifact %s status %d", name, code)
+		}
+		*dst = body
+	}
+	return arts
+}
+
+// TestServerTraceCanonicalAcrossEngines pins that a run's trace.jsonl
+// is the canonical merged trace on every engine: the same scenario run
+// serially and with `engine parallel shards=2` (model on shard 0, every
+// category recorded) stores byte-identical artifacts.
+func TestServerTraceCanonicalAcrossEngines(t *testing.T) {
+	serial := freshArtifacts(t, pingScenario("engines", 1))
+	sharded := freshArtifacts(t, strings.Replace(pingScenario("engines", 1),
+		"seed 1\n", "seed 1\nengine parallel shards=2\n", 1))
+	if !bytes.Equal(serial.TraceJSONL, sharded.TraceJSONL) {
+		t.Errorf("trace.jsonl differs: serial %d bytes, shards=2 %d bytes",
+			len(serial.TraceJSONL), len(sharded.TraceJSONL))
+	}
+	if !bytes.Equal(serial.Stdout, sharded.Stdout) || !bytes.Equal(serial.CampaignJSON, sharded.CampaignJSON) {
+		t.Error("stdout or campaign.json differs between serial and shards=2")
+	}
+}
+
 // partitionScenario is a tiny two-cluster scenario (two hosts joined by
 // one 2 ms wide-area link) whose model partitions across shards.
 func partitionScenario(shards int) string {
@@ -482,31 +527,7 @@ workload pingpong bytes=1024
 func TestServerPartitionCacheKey(t *testing.T) {
 	// First principles: shards=2 and shards=4 executed independently
 	// (separate servers, no cache between them) yield the same bytes.
-	fresh := func(shards int) *Artifacts {
-		s := newTestServer(t, Config{Workers: 1})
-		code, info := submit(t, s, "alice", partitionScenario(shards))
-		if code != http.StatusAccepted {
-			t.Fatalf("shards=%d: submit status %d", shards, code)
-		}
-		done := waitTerminal(t, s, info.ID)
-		if done.State != string(StateDone) {
-			t.Fatalf("shards=%d: state %s (%s)", shards, done.State, done.Error)
-		}
-		arts := &Artifacts{}
-		for name, dst := range map[string]*[]byte{
-			"campaign.json": &arts.CampaignJSON,
-			"stdout":        &arts.Stdout,
-			"trace.jsonl":   &arts.TraceJSONL,
-		} {
-			code, body := artifact(t, s, info.ID, name)
-			if code != http.StatusOK {
-				t.Fatalf("shards=%d: artifact %s status %d", shards, name, code)
-			}
-			*dst = body
-		}
-		return arts
-	}
-	a2, a4 := fresh(2), fresh(4)
+	a2, a4 := freshArtifacts(t, partitionScenario(2)), freshArtifacts(t, partitionScenario(4))
 	if !bytes.Equal(a2.CampaignJSON, a4.CampaignJSON) ||
 		!bytes.Equal(a2.Stdout, a4.Stdout) ||
 		!bytes.Equal(a2.TraceJSONL, a4.TraceJSONL) {

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"microgrid/internal/trace"
 )
 
 // DefaultLookahead is the conservative lookahead used when no inter-shard
@@ -547,24 +545,4 @@ func (pe *ParallelEngine) finish() error {
 		return &DeadlockError{Blocked: blocked}
 	}
 	return nil
-}
-
-// MergedTrace merges the shards' retained trace events into one
-// canonical run (trace.Canonicalize order: time, then full event
-// content), renumbering Seq into the canonical order. Because the order
-// never consults shard identity or recorder-local sequence numbers, the
-// merged run is byte-identical at any shard count as long as every
-// shard's recorder retained all of its events. Shards without a recorder
-// contribute nothing; the label and buffer size are taken from the first
-// recorder found, emitted/dropped counters are summed.
-func (pe *ParallelEngine) MergedTrace() trace.Run {
-	var runs []trace.Run
-	for _, sh := range pe.shards {
-		r := sh.Recorder()
-		if r == nil {
-			continue
-		}
-		runs = append(runs, r.Snapshot())
-	}
-	return trace.MergeRuns(runs)
 }

@@ -297,8 +297,8 @@ func (r *Recorder) Snapshot() Run {
 // sequence numbers, and events with fully identical content are
 // interchangeable, so one serial recorder and N per-shard recorders that
 // observed the same model produce byte-identical canonical runs. Exports
-// that must be stable under re-partitioning (MergedTrace, the campaign
-// trace JSONL) run every snapshot through this.
+// that must be stable under re-partitioning (core's MicroGrid.Trace,
+// behind every trace export) run every snapshot through this.
 func Canonicalize(r Run) Run {
 	evs := append([]Event(nil), r.Events...)
 	sort.SliceStable(evs, func(i, j int) bool {

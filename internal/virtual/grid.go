@@ -392,6 +392,12 @@ func (g *Grid) Clock() *vtime.Clock { return g.clock }
 // Rate returns the simulation rate.
 func (g *Grid) Rate() float64 { return g.rate }
 
+// MessageCost returns the per-message CPU model: the operations charged
+// per send and per byte (Config's values, defaults filled in).
+func (g *Grid) MessageCost() (sendOverheadOps, perByteOps float64) {
+	return g.sendOverheadOps, g.perByteOps
+}
+
 // Network returns the (scaled) virtual network simulator.
 func (g *Grid) Network() *netsim.Network { return g.vnet }
 

@@ -109,7 +109,10 @@ type (
 	ScenarioWorkload = scenario.Workload
 	// ScenarioGIS references a GIS-defined virtual grid.
 	ScenarioGIS = scenario.GISRef
-	// ScenarioEnv resolves a scenario's external references.
+	// ScenarioTrace is a scenario's trace line.
+	ScenarioTrace = scenario.TraceSpec
+	// ScenarioEnv resolves a scenario's external references and carries
+	// an invocation's shard, partition and trace settings.
 	ScenarioEnv = core.ScenarioEnv
 	// ScenarioPartition places topology clusters on PDES shards
 	// (`partition auto` / `partition map node=shard ...`).
@@ -133,7 +136,8 @@ func ScenarioMachineOf(c MachineConfig) *ScenarioMachine { return core.MachineSp
 func BuildScenario(s *Scenario) (*MicroGrid, error) { return core.BuildScenario(s) }
 
 // BuildScenarioEnv is BuildScenario with explicit reference resolution
-// (in-memory GIS, base directory for relative paths).
+// (in-memory GIS, base directory for relative paths) and the env's
+// shard, partition and trace settings.
 func BuildScenarioEnv(s *Scenario, env ScenarioEnv) (*MicroGrid, error) {
 	return core.BuildScenarioEnv(s, env)
 }
@@ -141,8 +145,8 @@ func BuildScenarioEnv(s *Scenario, env ScenarioEnv) (*MicroGrid, error) {
 // RunScenario builds the scenario's grid and runs its workload.
 func RunScenario(s *Scenario) (*Report, error) { return core.RunScenario(s) }
 
-// RunScenarioEnv is RunScenario with explicit reference resolution
-// (in-memory GIS, base directory for relative paths).
+// RunScenarioEnv is RunScenario under an explicit env (see
+// BuildScenarioEnv).
 func RunScenarioEnv(s *Scenario, env ScenarioEnv) (*Report, error) {
 	return core.RunScenarioEnv(s, env)
 }
@@ -178,8 +182,9 @@ const (
 	CampaignCanceled = runner.StatusCanceled
 )
 
-// Campaign returns one task per registered experiment, in paper order.
-func Campaign(quick bool) []CampaignTask { return runner.Campaign(quick) }
+// Campaign returns one task per registered experiment, in paper order;
+// env reaches every build the experiments make.
+func Campaign(quick bool, env ScenarioEnv) []CampaignTask { return runner.Campaign(quick, env) }
 
 // Fault injection (the chaos subsystem). A ChaosSchedule — built
 // programmatically or parsed from text — is armed against a MicroGrid
@@ -222,13 +227,18 @@ func WriteCampaignArtifacts(dir string, results []CampaignResult, quick bool) er
 }
 
 // Structured tracing (internal/trace): deterministic, virtual-time typed
-// events over every layer of the stack. Arm it globally with
-// EnableTracing before building grids (cmd/mgrid's -trace flag does
-// this), or per instance via BuildConfig.Trace; export the collected
-// runs as compact JSONL or Chrome trace-event JSON (Perfetto).
+// events over every layer of the stack. Trace one build with
+// BuildConfig.Trace (or a scenario's trace line) and read it back with
+// MicroGrid.Trace, or hand a TraceCollector to every build of an
+// invocation through ScenarioEnv.Trace (cmd/mgrid's -trace flag does
+// this); export the runs as compact JSONL or Chrome trace-event JSON
+// (Perfetto).
 type (
 	// TraceConfig selects trace categories and ring-buffer capacity.
 	TraceConfig = core.TraceConfig
+	// TraceCollector records every build it is handed, labeled by build
+	// order.
+	TraceCollector = core.TraceCollector
 	// TraceCategory is the per-subsystem trace category bitmask.
 	TraceCategory = trace.Category
 	// TraceEvent is one trace record (virtual-time instant or span).
@@ -244,19 +254,8 @@ const TraceAll = trace.CatAll
 // "all,-engine".
 func ParseTraceCategories(s string) (TraceCategory, error) { return trace.ParseCategories(s) }
 
-// EnableTracing arms global tracing for all subsequently built grids.
-func EnableTracing(cfg TraceConfig) { core.EnableTracing(cfg) }
-
-// SetEngineShards installs a process-wide simulation-engine override for
-// all subsequently built grids: n ≥ 1 forces the conservative parallel
-// engine with n shards (cmd/mgrid's and cmd/mgridrun's -shards flag does
-// this), 0 restores the per-scenario engine choice.
-func SetEngineShards(n int) { core.SetEngineShards(n) }
-
-// SetEnginePartition installs a process-wide partition override for all
-// subsequently built grids (cmd/mgrid's and cmd/mgridrun's -partition
-// flag does this); nil restores the per-scenario partition choice.
-func SetEnginePartition(pc *PartitionConfig) { core.SetEnginePartition(pc) }
+// NewTraceCollector returns an empty collector recording with cfg.
+func NewTraceCollector(cfg TraceConfig) *TraceCollector { return core.NewTraceCollector(cfg) }
 
 // ParsePartitionFlag parses a -partition CLI value: "auto", or a
 // comma-separated "node=shard,..." pin list ("" = nil).
@@ -269,15 +268,9 @@ func PartitionPreview(s *Scenario) (map[string]int, Duration, int, error) {
 	return core.PartitionPreview(s)
 }
 
-// ResetTracing disarms global tracing and drops collected recorders.
-func ResetTracing() { core.ResetTracing() }
+// WriteTraceJSONL writes trace runs as compact JSONL.
+func WriteTraceJSONL(w io.Writer, runs []TraceRun) error { return trace.WriteJSONL(w, runs) }
 
-// TraceSnapshots returns the collected trace runs in build order.
-func TraceSnapshots() []TraceRun { return core.TraceSnapshots() }
-
-// WriteTraceJSONL writes the collected trace runs as compact JSONL.
-func WriteTraceJSONL(w io.Writer) error { return core.WriteTraceJSONL(w) }
-
-// WriteTraceChrome writes the collected trace runs as Chrome trace-event
-// JSON, loadable in Perfetto or chrome://tracing.
-func WriteTraceChrome(w io.Writer) error { return core.WriteTraceChrome(w) }
+// WriteTraceChrome writes trace runs as Chrome trace-event JSON,
+// loadable in Perfetto or chrome://tracing.
+func WriteTraceChrome(w io.Writer, runs []TraceRun) error { return trace.WriteChrome(w, runs) }

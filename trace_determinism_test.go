@@ -7,14 +7,12 @@ import (
 	"testing"
 )
 
-// tracedChaosCrashJSONL runs the chaos-crash experiment (quick) under
-// global tracing on a campaign pool of the given width and returns the
+// tracedChaosCrashJSONL runs the chaos-crash experiment (quick) with a
+// trace collector on a campaign pool of the given width and returns the
 // exported JSONL bytes.
 func tracedChaosCrashJSONL(t *testing.T, workers int) []byte {
 	t.Helper()
-	ResetTracing()
-	defer ResetTracing()
-	EnableTracing(TraceConfig{Mask: TraceAll})
+	env := ScenarioEnv{Trace: NewTraceCollector(TraceConfig{Mask: TraceAll})}
 	fn, err := GetExperiment("chaos-crash")
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +20,7 @@ func tracedChaosCrashJSONL(t *testing.T, workers int) []byte {
 	tasks := []CampaignTask{{
 		ID: "chaos-crash",
 		Run: func(ctx context.Context) (*Experiment, error) {
-			return fn(true)
+			return fn(true, env)
 		},
 	}}
 	results := RunCampaign(context.Background(), tasks, CampaignOptions{Workers: workers})
@@ -30,7 +28,7 @@ func tracedChaosCrashJSONL(t *testing.T, workers int) []byte {
 		t.Fatalf("chaos-crash failed: %+v", results[0].Err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTraceJSONL(&buf); err != nil {
+	if err := WriteTraceJSONL(&buf, env.Trace.Runs()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -66,14 +64,13 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTraceSnapshotsLabeledByBuildOrder checks that the global registry
+// TestTraceCollectorLabelsByBuildOrder checks that a trace collector
 // labels recorders by build order so exports sort deterministically.
-func TestTraceSnapshotsLabeledByBuildOrder(t *testing.T) {
-	ResetTracing()
-	defer ResetTracing()
-	EnableTracing(TraceConfig{Mask: TraceAll})
+func TestTraceCollectorLabelsByBuildOrder(t *testing.T) {
+	env := ScenarioEnv{Trace: NewTraceCollector(TraceConfig{Mask: TraceAll})}
+	s := &Scenario{Name: "labels", Seed: 7, Target: ScenarioMachineOf(AlphaCluster)}
 	for i := 0; i < 2; i++ {
-		m, err := Build(BuildConfig{Seed: 7, Target: AlphaCluster})
+		m, err := BuildScenarioEnv(s, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +81,7 @@ func TestTraceSnapshotsLabeledByBuildOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snaps := TraceSnapshots()
+	snaps := env.Trace.Runs()
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %d, want 2", len(snaps))
 	}
