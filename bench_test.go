@@ -507,12 +507,13 @@ func BenchmarkPartitionedFig14(b *testing.B) {
 // BenchmarkScale100k pins the scalable resource model's economics:
 // build and run the committed 100k-host example (a generated star grid,
 // flow-fidelity wide area, NPB MG on an 8-rank working set) and report
-// allocated bytes per DECLARED host. Laziness is the whole claim —
+// allocated bytes and heap allocations per DECLARED host. Laziness is the whole claim —
 // untouched declarations must cost a few hundred bytes (a HostConfig,
 // a netsim node, an address map entry), not a scheduler, gatekeeper
-// daemon, and GIS row each — so CI holds bytes/host under an absolute
-// ceiling (cmd/benchjson -ceiling), which a regression to eager
-// materialization would blow past by orders of magnitude.
+// daemon, and GIS row each — so CI holds bytes/host and allocs/host
+// under absolute ceilings (cmd/benchjson -ceiling). A regression to
+// eager materialization would blow past them by orders of magnitude; a
+// build step that derives per-host state twice steps past them too.
 func BenchmarkScale100k(b *testing.B) {
 	data, err := os.ReadFile("examples/scale-100k/scale100k.scenario")
 	if err != nil {
@@ -522,7 +523,7 @@ func BenchmarkScale100k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var bytesPerHost, live float64
+	var bytesPerHost, allocsPerHost, live float64
 	for i := 0; i < b.N; i++ {
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -540,9 +541,11 @@ func BenchmarkScale100k(b *testing.B) {
 			b.Fatalf("example declares %d hosts, want >= 100000", declared)
 		}
 		bytesPerHost = float64(after.TotalAlloc-before.TotalAlloc) / float64(declared)
+		allocsPerHost = float64(after.Mallocs-before.Mallocs) / float64(declared)
 		live = float64(m.Grid.MaterializedCount())
 	}
 	b.ReportMetric(bytesPerHost, "bytes/host")
+	b.ReportMetric(allocsPerHost, "allocs/host")
 	b.ReportMetric(live, "hosts_live")
 }
 

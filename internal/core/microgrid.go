@@ -114,7 +114,7 @@ type MicroGrid struct {
 	// updates from another cluster bear the inter-cluster latency (and,
 	// when partitioned, cross onto the GIS's shard) so discovery sees
 	// transitions at the same virtual instants at any shard count.
-	clusterOf  map[string]int
+	gisRemote  bool
 	gisCluster int
 	gisDelay   simcore.Duration
 	gisEng     *simcore.Engine
@@ -363,19 +363,14 @@ func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, f
 // grid see identical discovery timing.
 func (m *MicroGrid) wireGISHome() {
 	nw := m.Grid.Network()
-	clusters := nw.Clusters(netsim.DefaultWANThreshold)
-	if len(clusters) < 2 {
+	if len(nw.Clusters()) < 2 {
 		return
 	}
-	m.clusterOf = make(map[string]int)
-	for ci, cl := range clusters {
-		for _, nd := range cl {
-			m.clusterOf[nd.Name] = ci
-		}
-	}
-	m.gisCluster = m.clusterOf[m.Hosts[0]]
-	m.gisEng = m.Grid.Host(m.Hosts[0]).Engine()
-	if d, ok := nw.InterClusterMinDelay(clusters); ok {
+	gis := m.Grid.Host(m.Hosts[0])
+	m.gisRemote = true
+	m.gisCluster = nw.ClusterOf(gis.Node)
+	m.gisEng = gis.Engine()
+	if d, ok := nw.InterClusterMinDelay(); ok {
 		m.gisDelay = d
 	} else if d, ok := nw.MinLinkDelay(); ok {
 		m.gisDelay = d
@@ -388,7 +383,7 @@ func (m *MicroGrid) wireGISHome() {
 // latency — a cross-shard send when the model is partitioned, a plain
 // delay otherwise, so both execute fn at the same virtual instant.
 func (m *MicroGrid) gisDo(h *virtual.Host, fn func()) {
-	if m.clusterOf == nil || m.clusterOf[h.Name] == m.gisCluster {
+	if !m.gisRemote || m.Grid.Network().ClusterOf(h.Node) == m.gisCluster {
 		fn()
 		return
 	}

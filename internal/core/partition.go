@@ -14,11 +14,11 @@ import (
 
 // PartitionConfig places the grid model across PDES shards, one cluster
 // of the virtual topology per shard: a cluster is a connected component
-// of sub-millisecond links (see netsim.Clusters), so only wide-area hops
-// — whose latency is the engine's lookahead — cross shards. Partitioning
-// requires direct mode (no emulation platform) and a multi-cluster
-// topology; on a single-cluster grid it is a no-op and the model stays
-// on shard 0.
+// of sub-millisecond links (see netsim.Network.Clusters), so only
+// wide-area hops — whose latency is the engine's lookahead — cross
+// shards. Partitioning requires direct mode (no emulation platform) and
+// a multi-cluster topology; on a single-cluster grid it is a no-op and
+// the model stays on shard 0.
 type PartitionConfig struct {
 	// Auto assigns cluster i (ordered by smallest node name) to shard
 	// i mod shards.
@@ -44,15 +44,9 @@ type partitionPlan struct {
 // A nil plan (with nil error) means the topology has a single cluster
 // and partitioning is a no-op.
 func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*partitionPlan, error) {
-	clusters := nw.Clusters(netsim.DefaultWANThreshold)
+	clusters := nw.Clusters()
 	if len(clusters) < 2 {
 		return nil, nil
-	}
-	clusterOf := make(map[string]int)
-	for ci, cl := range clusters {
-		for _, nd := range cl {
-			clusterOf[nd.Name] = ci
-		}
 	}
 	shard := make([]int, len(clusters))
 	for i := range shard {
@@ -67,10 +61,11 @@ func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*parti
 		pinned := make(map[int]string)
 		for _, name := range names {
 			s := pc.Assign[name]
-			ci, ok := clusterOf[name]
-			if !ok {
+			nd := nw.Node(name)
+			if nd == nil {
 				return nil, fmt.Errorf("core: partition names unknown node %q", name)
 			}
+			ci := nw.ClusterOf(nd)
 			if s < 0 || s >= nshards {
 				return nil, fmt.Errorf("core: partition places %q on shard %d, have %d shards", name, s, nshards)
 			}
@@ -82,19 +77,25 @@ func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*parti
 			pinned[ci] = name
 		}
 	}
-	la, ok := nw.InterClusterMinDelay(clusters)
+	la, ok := nw.InterClusterMinDelay()
 	if !ok {
 		// Disconnected clusters exchange nothing; any positive window
 		// works, so fall back to the cheapest link.
 		la, _ = nw.MinLinkDelay()
 	}
+	nodes := 0
+	for _, cl := range clusters {
+		nodes += len(cl)
+	}
 	plan := &partitionPlan{
-		shardOf:   make(map[string]int, len(clusterOf)),
+		shardOf:   make(map[string]int, nodes),
 		clusters:  len(clusters),
 		lookahead: la,
 	}
-	for name, ci := range clusterOf {
-		plan.shardOf[name] = shard[ci]
+	for ci, cl := range clusters {
+		for _, nd := range cl {
+			plan.shardOf[nd.Name] = shard[ci]
+		}
 	}
 	return plan, nil
 }

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"slices"
+	"strings"
+
 	"microgrid/internal/simcore"
 )
 
@@ -12,25 +15,44 @@ import (
 // backbone 28 ms).
 const DefaultWANThreshold = simcore.Millisecond
 
-// Clusters partitions the nodes into connected components under links
-// whose propagation delay is below threshold (DefaultWANThreshold if
-// threshold <= 0) — the "clusters" of the modeled grid: sites internally
-// joined by fast links and joined to each other only over WAN links.
-// Components are returned with their nodes sorted by name, ordered by
-// each component's lexicographically smallest node name, so the result —
-// and any shard assignment derived from it — depends only on the
-// topology, not on construction order.
-func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
-	if threshold <= 0 {
-		threshold = DefaultWANThreshold
+// Clusters returns the nodes partitioned into connected components under
+// links whose propagation delay is below DefaultWANThreshold — the
+// "clusters" of the modeled grid: sites internally joined by fast links
+// and joined to each other only over WAN links. Components list their
+// nodes sorted by name and are ordered by each component's
+// lexicographically smallest node name, so the result — and any shard
+// assignment derived from it — depends only on the topology, not on
+// construction order.
+//
+// This is the routing hierarchy's own decomposition, computed once per
+// ComputeRoutes (and pinned until the next structural change); the
+// returned slices are shared and must not be modified.
+func (n *Network) Clusters() [][]*Node {
+	if !n.routed {
+		n.ComputeRoutes()
 	}
-	// Union-find over compact node indices.
-	parent := make([]int32, n.nnodes)
+	return n.hier.members
+}
+
+// ClusterOf returns the index into Clusters() of nd's cluster.
+func (n *Network) ClusterOf(nd *Node) int {
+	if !n.routed {
+		n.ComputeRoutes()
+	}
+	return int(n.hier.clusterOf[nd.idx])
+}
+
+// decompose computes the cluster decomposition into h: union-find over
+// the fast links, then one name sort of all nodes. Scanning the sorted
+// nodes numbers each component at its smallest name, which is the
+// representative-name order Clusters promises.
+func (n *Network) decompose(h *hier) {
+	size := int(n.nnodes)
+	parent := make([]int32, size)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -38,7 +60,7 @@ func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
 		return x
 	}
 	for _, l := range n.links {
-		if l.Config.Delay >= threshold {
+		if l.Config.Delay >= DefaultWANThreshold {
 			continue
 		}
 		a, b := find(l.A.idx), find(l.B.idx)
@@ -46,42 +68,60 @@ func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
 			parent[a] = b
 		}
 	}
-	groups := make(map[int32][]*Node)
-	for _, nd := range n.Nodes() { // sorted by name
-		root := find(nd.idx)
-		groups[root] = append(groups[root], nd)
+	// Sort (name, node) pairs so the comparator never dereferences a node.
+	type named struct {
+		name string
+		nd   *Node
 	}
-	out := make([][]*Node, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
+	sorted := make([]named, 0, size)
+	for _, nd := range n.nodes {
+		sorted = append(sorted, named{nd.Name, nd})
 	}
-	// Each group is already name-sorted; order groups by representative.
-	sortClusters(out)
-	return out
-}
+	slices.SortFunc(sorted, func(a, b named) int { return strings.Compare(a.name, b.name) })
 
-func sortClusters(cs [][]*Node) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j][0].Name < cs[j-1][0].Name; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
+	// First pass: number components in representative order (id maps a
+	// root to its cluster) and give each node its slot in its cluster.
+	id := make([]int32, size)
+	for i := range id {
+		id[i] = -1
+	}
+	var sizes []int32
+	for _, s := range sorted {
+		r := find(s.nd.idx)
+		if id[r] < 0 {
+			id[r] = int32(len(sizes))
+			sizes = append(sizes, 0)
 		}
+		c := id[r]
+		h.clusterOf[s.nd.idx] = c
+		h.localIdx[s.nd.idx] = sizes[c]
+		sizes[c]++
+	}
+	// Second pass: carve every member list out of one backing array.
+	backing := make([]*Node, size)
+	h.members = make([][]*Node, len(sizes))
+	off := 0
+	for c, sz := range sizes {
+		h.members[c] = backing[off : off+int(sz) : off+int(sz)]
+		off += int(sz)
+	}
+	for _, s := range sorted {
+		h.members[h.clusterOf[s.nd.idx]][h.localIdx[s.nd.idx]] = s.nd
 	}
 }
 
 // InterClusterMinDelay returns the smallest propagation delay over links
-// joining different clusters of the given partition; ok is false when no
-// link crosses clusters. It is the natural conservative lookahead for a
+// joining different clusters of Clusters(); ok is false when no link
+// crosses clusters. It is the natural conservative lookahead for a
 // parallel engine running one cluster per shard: no packet crosses
 // between clusters in less than this.
-func (n *Network) InterClusterMinDelay(clusters [][]*Node) (d simcore.Duration, ok bool) {
-	comp := make(map[*Node]int, n.nnodes)
-	for i, c := range clusters {
-		for _, nd := range c {
-			comp[nd] = i
-		}
+func (n *Network) InterClusterMinDelay() (d simcore.Duration, ok bool) {
+	if !n.routed {
+		n.ComputeRoutes()
 	}
+	clusterOf := n.hier.clusterOf
 	for _, l := range n.links {
-		if comp[l.A] == comp[l.B] {
+		if clusterOf[l.A.idx] == clusterOf[l.B.idx] {
 			continue
 		}
 		if !ok || l.Config.Delay < d {

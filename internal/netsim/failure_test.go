@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"microgrid/internal/simcore"
+	"microgrid/internal/trace"
 )
 
 func TestLinkDownDropsTraffic(t *testing.T) {
@@ -158,5 +159,49 @@ func TestScheduleFailureNoRestore(t *testing.T) {
 	}
 	if !link.Down() {
 		t.Fatal("link restored without a restore schedule")
+	}
+}
+
+// TestTracedLinkNames pins the channel labels traces carry now that they
+// are built on demand: each direction is "src->dst", and link state
+// events name the link by its A->B direction.
+func TestTracedLinkNames(t *testing.T) {
+	eng := simcore.NewEngine(1)
+	rec := trace.NewRecorder(1024, trace.CatAll)
+	eng.SetRecorder(rec)
+	nw, a, b := twoHosts(eng, LinkConfig{BandwidthBps: 1e6, Delay: simcore.Millisecond, QueueBytes: 300})
+	link := nw.Links()[0]
+	a.HandleDatagrams(7, func(Addr, Port, int, any) {})
+	b.HandleDatagrams(7, func(Addr, Port, int, any) {})
+	eng.Spawn("faults", func(p *simcore.Proc) {
+		for i := 0; i < 10; i++ { // overflows the 300-byte queue
+			_ = a.SendDatagram(b.Addr, 1, 7, 100, nil)
+		}
+		p.Sleep(100 * simcore.Millisecond)
+		link.SetLossProb(1)
+		_ = b.SendDatagram(a.Addr, 1, 7, 100, nil)
+		link.SetLossProb(0)
+		link.SetDown(true)
+		link.SetDown(false)
+		link.Degrade(0.5, 0, -1)
+		link.Restore()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"drop": "a->b", "loss": "b->a", "link-down": "a->b", "link-restore": "a->b", "hop": "a->b"}
+	seen := map[string]bool{}
+	for _, ev := range rec.Events() {
+		if l, ok := want[ev.Name]; ok {
+			seen[ev.Name] = true
+			if ev.Link != l {
+				t.Errorf("%s event names link %q, want %q", ev.Name, ev.Link, l)
+			}
+		}
+	}
+	for name := range want {
+		if !seen[name] {
+			t.Errorf("no %s event traced", name)
+		}
 	}
 }

@@ -367,8 +367,8 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 		cfg.QueueBytes = DefaultQueueBytes
 	}
 	l := &Link{A: a, B: b, Config: cfg}
-	l.ab = newChannel(n, fmt.Sprintf("%s->%s", a.Name, b.Name), a, b, cfg)
-	l.ba = newChannel(n, fmt.Sprintf("%s->%s", b.Name, a.Name), b, a, cfg)
+	l.ab = newChannel(n, a, b, cfg)
+	l.ba = newChannel(n, b, a, cfg)
 	a.ifaces = append(a.ifaces, &iface{node: a, ch: l.ab})
 	b.ifaces = append(b.ifaces, &iface{node: b, ch: l.ba})
 	n.links = append(n.links, l)

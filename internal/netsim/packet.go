@@ -105,7 +105,6 @@ const defaultTTL = 64
 // the propagation leg crosses as a cross-shard send.
 type channel struct {
 	net      *Network
-	name     string
 	src, dst *Node
 	cfg      LinkConfig
 	// queue holds packets awaiting serialization; queuedBytes tracks the
@@ -135,9 +134,14 @@ type channel struct {
 	flowBusyUntil simcore.Time
 }
 
-func newChannel(net *Network, name string, src, dst *Node, cfg LinkConfig) *channel {
-	return &channel{net: net, name: name, src: src, dst: dst, cfg: cfg}
+func newChannel(net *Network, src, dst *Node, cfg LinkConfig) *channel {
+	return &channel{net: net, src: src, dst: dst, cfg: cfg}
 }
+
+// name is the channel's stable "src->dst" label. It is built on demand —
+// only trace attributes and the loss stream's derivation label read it —
+// so a 100k-link grid holds no per-channel name strings.
+func (c *channel) name() string { return c.src.Name + "->" + c.dst.Name }
 
 // send enqueues pkt for transmission, applying drop-tail and random loss.
 // The channel owns pkt from here on: dropped or lost packets return to the
@@ -156,14 +160,14 @@ func (c *channel) send(pkt *Packet) {
 	}
 	if c.cfg.LossProb > 0 {
 		if c.lossRng == nil {
-			c.lossRng = c.src.eng.DeriveRand("netsim:loss:" + c.name)
+			c.lossRng = c.src.eng.DeriveRand("netsim:loss:" + c.name())
 		}
 		if c.lossRng.Float64() < c.cfg.LossProb {
 			c.Lost++
 			c.src.stats.PacketsLost++
 			if rec := c.src.eng.Recorder(); rec.Enabled(trace.CatNet) {
 				rec.Event(trace.CatNet, "loss", trace.Attr{
-					Link: c.name, Bytes: int64(pkt.Size), Detail: pkt.Kind.String()})
+					Link: c.name(), Bytes: int64(pkt.Size), Detail: pkt.Kind.String()})
 			}
 			c.src.freePacket(pkt)
 			return
@@ -174,7 +178,7 @@ func (c *channel) send(pkt *Packet) {
 		c.src.stats.PacketsDropped++
 		if rec := c.src.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			rec.Event(trace.CatNet, "drop", trace.Attr{
-				Link: c.name, Bytes: int64(pkt.Size), Detail: pkt.Kind.String() + " queue full"})
+				Link: c.name(), Bytes: int64(pkt.Size), Detail: pkt.Kind.String() + " queue full"})
 		}
 		c.src.freePacket(pkt)
 		return
@@ -252,7 +256,7 @@ func (h *hopEvent) fire() {
 		if rec := c.src.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			// Serialization occupies [now-txTime, now]; propagation follows.
 			rec.Span(trace.CatNet, "hop", int64(c.src.eng.Now())-int64(h.txTime), int64(h.txTime),
-				trace.Attr{Link: c.name, Bytes: int64(h.pkt.Size), Detail: h.pkt.Kind.String()})
+				trace.Attr{Link: c.name(), Bytes: int64(h.pkt.Size), Detail: h.pkt.Kind.String()})
 		}
 		if c.dst.eng != c.src.eng {
 			pkt, epoch := h.pkt, h.epoch

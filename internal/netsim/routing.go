@@ -71,10 +71,11 @@ type hier struct {
 	egressEpoch []int64
 }
 
-// ComputeRoutes (re)builds the routing hierarchy: cluster detection plus
-// the summarized border graph. Per-node tables and egress rows are built
-// lazily on first lookup, so this is O(N log N), not O(N²). It must be
-// called after structural topology changes and before traffic flows;
+// ComputeRoutes (re)builds the routing hierarchy: cluster detection (the
+// one decomposition Clusters and ClusterOf report) plus the summarized
+// border graph. Per-node tables and egress rows are built lazily on
+// first lookup, so this is O(N log N), not O(N²). It must be called
+// after structural topology changes and before traffic flows;
 // transports call it lazily too.
 func (n *Network) ComputeRoutes() {
 	size := int(n.nnodes)
@@ -82,14 +83,8 @@ func (n *Network) ComputeRoutes() {
 		clusterOf: make([]int32, size),
 		localIdx:  make([]int32, size),
 	}
-	clusters := n.Clusters(0)
-	h.members = clusters
-	for ci, mem := range clusters {
-		for li, nd := range mem {
-			h.clusterOf[nd.idx] = int32(ci)
-			h.localIdx[nd.idx] = int32(li)
-		}
-	}
+	n.decompose(h)
+	clusters := h.members
 	h.borderOut = make([][]borderEdge, len(clusters))
 	for _, l := range n.links {
 		ca, cb := h.clusterOf[l.A.idx], h.clusterOf[l.B.idx]
@@ -221,7 +216,7 @@ func (n *Network) egressTo(c, d int32) *egressEntry {
 }
 
 // buildEgress runs Dijkstra from cluster c over the summarized graph.
-// Cluster ids ascend in representative-name order (Clusters sorts them),
+// Cluster ids ascend in representative-name order (see Clusters),
 // so extraction by smallest id mirrors the flat model's name tie-break;
 // border edges relax in link creation order, mirroring iface order.
 // Intra-cluster transit is costed at zero — exact for singleton transit

@@ -380,32 +380,19 @@ func (c *Conn) Send(p *simcore.Proc, size int, payload any) error {
 
 // deliverFrame hands a message boundary to the receiving endpoint. A
 // same-engine peer gets it immediately, as before. A peer on another
-// shard gets it via a cross-shard send after the path's propagation
-// delay: that is never below the engine lookahead (every cross-shard
-// path crosses an inter-cluster link) and never behind the message's
-// data, which additionally pays serialization on every hop.
+// shard gets it via a cross-shard send after the engine lookahead. That
+// still lands strictly before the message's data: every cross-shard path
+// crosses an inter-cluster link of at least the lookahead, and the data's
+// first byte also pays serialization. The delay reads only the engine,
+// never the route, so the sending shard touches no routing state that
+// another shard's lookups build lazily.
 func (c *Conn) deliverFrame(m *inMsg) {
 	peer := c.peer
 	if peer.node.eng == c.node.eng {
 		peer.insertFrame(m)
 		return
 	}
-	c.node.eng.SendTo(peer.node.eng, c.framePathDelay(), func() { peer.insertFrame(m) })
-}
-
-// framePathDelay returns the current propagation delay to the peer,
-// falling back to the engine lookahead when the path is down (the frame
-// must still arrive so delivery resumes once data gets through).
-func (c *Conn) framePathDelay() simcore.Duration {
-	if dst := c.node.net.NodeByAddr(c.key.remote); dst != nil {
-		if d, _, ok := c.node.net.PathDelay(c.node, dst); ok {
-			return d
-		}
-	}
-	if pe := c.node.eng.Parallel(); pe != nil {
-		return pe.Lookahead()
-	}
-	return simcore.Millisecond
+	c.node.eng.SendTo(peer.node.eng, c.node.eng.Parallel().Lookahead(), func() { peer.insertFrame(m) })
 }
 
 // insertFrame files m in stream order (frames can arrive out of order

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"microgrid/internal/simcore"
@@ -114,5 +115,122 @@ func TestBulkTransferCeilings(t *testing.T) {
 	}
 	if allocsPerSeg > maxAllocs {
 		t.Fatalf("allocs/segment = %.3f exceeds the %.1f ceiling", allocsPerSeg, maxAllocs)
+	}
+}
+
+// wanTCPReport runs a two-way TCP message exchange between hosts a and b
+// on separate campus LANs joined by a two-hop WAN (1 ms + 2 ms, so the
+// path delay is over twice the 1 ms inter-cluster lookahead) and returns
+// every delivery instant and both endpoints' stats. shards == 0 runs
+// serially; otherwise each cluster runs on shard (cluster index mod
+// shards), as partitioning places it.
+func wanTCPReport(t *testing.T, shards int) string {
+	t.Helper()
+	const seed = 5
+	var sim simcore.Sim
+	var eng *simcore.Engine
+	var pe *simcore.ParallelEngine
+	if shards == 0 {
+		eng = simcore.NewEngine(seed)
+		sim = eng
+	} else {
+		pe = simcore.NewParallelEngine(seed, shards)
+		eng, sim = pe.Shard(0), pe
+	}
+	nw := New(eng)
+	a := nw.AddHost("a", MustParseAddr("10.0.0.1"))
+	b := nw.AddHost("b", MustParseAddr("10.0.1.1"))
+	ga, gb, r := nw.AddRouter("ga"), nw.AddRouter("gb"), nw.AddRouter("r")
+	lan := LinkConfig{BandwidthBps: 100e6, Delay: 100 * simcore.Microsecond}
+	nw.Connect(a, ga, lan)
+	nw.Connect(b, gb, lan)
+	nw.Connect(ga, r, LinkConfig{BandwidthBps: 45e6, Delay: simcore.Millisecond})
+	nw.Connect(r, gb, LinkConfig{BandwidthBps: 45e6, Delay: 2 * simcore.Millisecond})
+	nw.ComputeRoutes()
+	if pe != nil {
+		la, _ := nw.InterClusterMinDelay()
+		if d, _, _ := nw.PathDelay(a, b); d < 2*la {
+			t.Fatalf("path delay %v is under twice the lookahead %v", d, la)
+		}
+		pe.SetLookahead(la)
+		for ci, cl := range nw.Clusters() {
+			for _, nd := range cl {
+				nw.SetNodeEngine(nd, pe.Shard(ci%shards))
+			}
+		}
+		if a.Engine() == b.Engine() {
+			t.Fatal("a and b share a shard")
+		}
+	}
+
+	sizes := []int{0, 1, 1460, 5000, 64 << 10, 3, 200000, 10, 1461, 0, 7}
+	var log strings.Builder
+	var server, client *Conn
+	ln, err := b.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Engine().Spawn("server", func(p *simcore.Proc) {
+		c, err := ln.Accept(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		server = c
+		for range sizes {
+			m, err := c.Recv(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fmt.Fprintf(&log, "b recv t=%d size=%d payload=%v\n", p.Now(), m.Size, m.Payload)
+			if err := c.Send(p, m.Size/2, m.Payload); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	var replies strings.Builder
+	a.Engine().Spawn("client", func(p *simcore.Proc) {
+		c, err := a.Dial(p, b.Addr, 80)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		client = c
+		for i, sz := range sizes {
+			if err := c.Send(p, sz, i); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for range sizes {
+			m, err := c.Recv(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fmt.Fprintf(&replies, "a recv t=%d size=%d payload=%v\n", p.Now(), m.Size, m.Payload)
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if client == nil || server == nil {
+		t.Fatal("connection never established")
+	}
+	return fmt.Sprintf("%s%sclient %+v\nserver %+v\n", log.String(), replies.String(), client.Stats, server.Stats)
+}
+
+// TestCrossShardTCPMatchesSerial: message boundaries cross shards after
+// the lookahead rather than the path delay, which must not move any
+// delivery. The partitioned run's report equals the serial run's.
+func TestCrossShardTCPMatchesSerial(t *testing.T) {
+	serial := wanTCPReport(t, 0)
+	if got := wanTCPReport(t, 2); got != serial {
+		t.Fatalf("2-shard report differs from serial:\n--- serial\n%s--- 2 shards\n%s", serial, got)
+	}
+	if strings.Count(serial, "recv") != 22 {
+		t.Fatalf("report is missing deliveries:\n%s", serial)
 	}
 }

@@ -146,7 +146,12 @@ func splitHosts(total, k int) []int {
 // core router, the generated-at-scale version of the fuzzer's
 // star-of-clusters family.
 func genStar(rng *rand.Rand, g GenSpec, k int) *Spec {
-	spec := &Spec{Name: fmt.Sprintf("gen-star-%dx%d-s%d", g.Hosts, k, g.Seed)}
+	spec := &Spec{
+		Name:    fmt.Sprintf("gen-star-%dx%d-s%d", g.Hosts, k, g.Seed),
+		Routers: make([]string, 0, 1+2*k),
+		Hosts:   make([]HostSpec, 0, g.Hosts),
+		Links:   make([]LinkSpec, 0, g.Hosts+2*k),
+	}
 	spec.Routers = append(spec.Routers, "core")
 	wanFid := genWANFidelity(g)
 	for i, hn := range splitHosts(g.Hosts, k) {
@@ -178,7 +183,12 @@ func genStar(rng *rand.Rand, g GenSpec, k int) *Spec {
 // routers over wide-area links — a 2-level multipath core.
 func genFatTree(rng *rand.Rand, g GenSpec, k int) *Spec {
 	cores := 2 + rng.Intn(3)
-	spec := &Spec{Name: fmt.Sprintf("gen-fattree-%dx%dc%d-s%d", g.Hosts, k, cores, g.Seed)}
+	spec := &Spec{
+		Name:    fmt.Sprintf("gen-fattree-%dx%dc%d-s%d", g.Hosts, k, cores, g.Seed),
+		Routers: make([]string, 0, cores+k),
+		Hosts:   make([]HostSpec, 0, g.Hosts),
+		Links:   make([]LinkSpec, 0, g.Hosts+k*cores),
+	}
 	wanFid := genWANFidelity(g)
 	for m := 0; m < cores; m++ {
 		spec.Routers = append(spec.Routers, fmt.Sprintf("core%d", m))

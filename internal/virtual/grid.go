@@ -183,7 +183,13 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		physCfg[pc.Name] = pc
 	}
 
-	rate := cfg.Rate
+	// Direct mode runs at rate 1 whatever cfg.Rate says, so it skips
+	// the feasibility pass; both host loops below still reject a host
+	// mapped to an unknown physical machine, with the same message.
+	rate := 1.0
+	if !cfg.Direct {
+		rate = cfg.Rate
+	}
 	if rate == 0 {
 		// The coherent rate is bounded by each physical machine's
 		// capacity against the *sum* of the virtual CPUs mapped onto it
@@ -206,9 +212,6 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		if rate > 1 {
 			rate = 1
 		}
-	}
-	if cfg.Direct {
-		rate = 1
 	}
 
 	g := &Grid{

@@ -333,6 +333,53 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestRatePassShortcut: direct mode skips the feasible-rate pass, which
+// must not change what a build accepts or the rate it runs at. A host on
+// an unknown physical machine still fails with the same message (eager
+// and lazy), a direct grid still runs at rate 1 whatever Rate says, and
+// an emulated grid still computes its rate against the summed demand on
+// each machine.
+func TestRatePassShortcut(t *testing.T) {
+	unknown := []HostConfig{{Name: "a", IP: netsim.MakeAddr(10, 0, 0, 1), CPUSpeedMIPS: 10, MappedPhysical: "nope"}}
+	phys := []PhysConfig{{Name: "p", CPUSpeedMIPS: 500}}
+	const wantErr = `virtual: host a maps to unknown physical "nope"`
+	for _, tc := range []struct {
+		name         string
+		direct, lazy bool
+	}{{"direct", true, false}, {"direct-lazy", true, true}, {"emulated", false, false}} {
+		cfg := Config{Hosts: unknown, Phys: phys, Direct: tc.direct, Lazy: tc.lazy}
+		_, err := NewGrid(simcore.NewEngine(1), cfg, LANWire(cfg.Hosts, 1e6, 0))
+		if err == nil || err.Error() != wantErr {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, wantErr)
+		}
+	}
+
+	shared := []HostConfig{
+		{Name: "a", IP: netsim.MakeAddr(10, 0, 0, 1), CPUSpeedMIPS: 400, MappedPhysical: "p"},
+		{Name: "b", IP: netsim.MakeAddr(10, 0, 0, 2), CPUSpeedMIPS: 400, MappedPhysical: "p"},
+	}
+	for _, tc := range []struct {
+		name   string
+		direct bool
+		rate   float64
+		want   float64
+	}{
+		{"direct ignores Rate", true, 0.5, 1},
+		{"direct auto", true, 0, 1},
+		{"emulated auto: 500 physical for 800 virtual", false, 0, 0.625},
+		{"emulated explicit", false, 0.5, 0.5},
+	} {
+		cfg := Config{Hosts: shared, Phys: phys, Direct: tc.direct, Rate: tc.rate}
+		g, err := NewGrid(simcore.NewEngine(1), cfg, LANWire(cfg.Hosts, 1e6, 0))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if math.Abs(g.Rate()-tc.want) > 1e-12 {
+			t.Errorf("%s: rate = %v, want %v", tc.name, g.Rate(), tc.want)
+		}
+	}
+}
+
 func TestTwoProcessesShareVirtualCPU(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	g := directGrid(t, eng)
