@@ -508,9 +508,10 @@ func BenchmarkPartitionedFig14(b *testing.B) {
 // build and run the committed 100k-host example (a generated star grid,
 // flow-fidelity wide area, NPB MG on an 8-rank working set) and report
 // allocated bytes and heap allocations per DECLARED host. Laziness is the whole claim —
-// untouched declarations must cost a few hundred bytes (a HostConfig,
-// a netsim node, an address map entry), not a scheduler, gatekeeper
-// daemon, and GIS row each — so CI holds bytes/host and allocs/host
+// untouched declarations must cost a few hundred bytes (a HostConfig
+// and a netsim node with its access link, indexed by the node's compact
+// index), not a scheduler, gatekeeper daemon, and GIS row each — so CI
+// holds bytes/host and allocs/host
 // under absolute ceilings (cmd/benchjson -ceiling). A regression to
 // eager materialization would blow past them by orders of magnitude; a
 // build step that derives per-host state twice steps past them too.

@@ -1,19 +1,22 @@
-// Command mgridrun runs a workload on a virtual grid defined entirely by
-// GIS records — the MicroGrid's production workflow: describe the grid in
-// LDIF, pick a configuration, pick an application.
+// Command mgridrun runs one declarative scenario file — grid, workload,
+// policies, faults — and prints the run's report. A grid defined by GIS
+// records, the MicroGrid's production workflow, is a scenario with a gis
+// line:
+//
+//	scenario ep-on-gis
+//	seed 1
+//	gis file="grid.ldif" config="MyGrid" phys=m1:533,m2:533
+//	rate 0.5
+//	workload npb bench=EP class=S
 //
 // Usage:
 //
-//	mgridrun -gis grid.ldif -config Slow_CPU_Configuration -app EP -class S
-//	mgridrun -gis grid.ldif -config MyGrid -app wavetoy -size 50 -steps 100
-//	mgridrun -gis grid.ldif -config MyGrid -app EP -phys "m1=533,m2=533" -rate 0.5
-//	mgridrun -scenario run.scenario
+//	mgridrun -scenario run.scenario [-shards N] [-partition auto|node=shard,...]
 //
-// Without -phys the target is modeled directly (the reference run); with
-// -phys the named physical machines emulate the virtual grid at -rate.
-// With -scenario, the whole run — grid, workload, policies, faults — comes
-// from one declarative file and every other flag but -shards and
-// -partition (which outrank the file's engine lines) is ignored.
+// Without phys= the target is modeled directly (the reference run); with
+// it the named physical machines emulate the virtual grid at the
+// scenario's rate. -shards and -partition outrank the file's engine and
+// partition lines.
 package main
 
 import (
@@ -22,28 +25,21 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 
 	"microgrid"
 )
 
 func main() {
 	var (
-		gisFile = flag.String("gis", "", "LDIF file defining the virtual grid")
-		config  = flag.String("config", "", "Configuration_Name to instantiate")
-		app     = flag.String("app", "EP", "workload: EP, BT, LU, MG, IS, or wavetoy")
-		class   = flag.String("class", "S", "NPB class: S, W, A, B")
-		size    = flag.Int("size", 50, "WaveToy grid edge")
-		steps   = flag.Int("steps", 100, "WaveToy steps")
-		physArg = flag.String("phys", "", "emulation calibration: name=MIPS,name=MIPS (empty = direct model)")
-		rate    = flag.Float64("rate", 0, "simulation rate (0 = fastest feasible)")
-		seed    = flag.Int64("seed", 1, "simulation seed")
-		scen    = flag.String("scenario", "", "declarative .scenario file (overrides all other flags but -shards and -partition)")
+		scen    = flag.String("scenario", "", "declarative .scenario file to run")
 		shards  = flag.Int("shards", 0, "simulation engine: 0 = serial (default), N >= 1 = conservative parallel engine with N shards")
 		partArg = flag.String("partition", "", "partition the grid model across shards: 'auto' or 'node=shard,...'")
 	)
 	flag.Parse()
+	if *scen == "" || flag.NArg() > 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *shards < 0 {
 		fail(fmt.Errorf("-shards must be >= 0"))
 	}
@@ -55,80 +51,16 @@ func main() {
 		}
 		partition = pc
 	}
-	if *scen != "" {
-		s, err := microgrid.LoadScenario(*scen)
-		if err != nil {
-			fail(err)
-		}
-		checkPartition(partition, *shards, s.EngineShards)
-		report, err := microgrid.RunScenarioEnv(s, microgrid.ScenarioEnv{
-			BaseDir:   filepath.Dir(*scen),
-			Shards:    *shards,
-			Partition: partition,
-		})
-		if err != nil {
-			fail(err)
-		}
-		printReport(report)
-		return
-	}
-	if *gisFile == "" || *config == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	f, err := os.Open(*gisFile)
+	s, err := microgrid.LoadScenario(*scen)
 	if err != nil {
 		fail(err)
 	}
-	server, err := microgrid.LoadGIS(f)
-	f.Close()
-	if err != nil {
-		fail(err)
-	}
-
-	checkPartition(partition, *shards, 0)
-	opts := microgrid.GISBuildOptions{Seed: *seed, Rate: *rate, Shards: *shards, Partition: partition}
-	if *physArg != "" {
-		opts.PhysMIPS = map[string]float64{}
-		for _, pair := range strings.Split(*physArg, ",") {
-			name, mips, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok {
-				fail(fmt.Errorf("bad -phys entry %q", pair))
-			}
-			v, err := strconv.ParseFloat(mips, 64)
-			if err != nil {
-				fail(fmt.Errorf("bad MIPS in %q", pair))
-			}
-			opts.PhysMIPS[name] = v
-		}
-	}
-
-	m, err := microgrid.BuildFromGIS(server, *config, opts)
-	if err != nil {
-		fail(err)
-	}
-	mode := "direct (physical grid model)"
-	if !m.IsDirect() {
-		mode = fmt.Sprintf("emulated at rate %.3f", m.Rate())
-	}
-	fmt.Fprintf(os.Stderr, "grid %q: %d hosts, %s\n", m.ConfigName, len(m.Hosts), mode)
-
-	var fn func(ctx *microgrid.AppContext) error
-	switch strings.ToLower(*app) {
-	case "wavetoy":
-		fn = func(ctx *microgrid.AppContext) error {
-			return microgrid.RunWaveToy(ctx, microgrid.WaveToyParams{GridEdge: *size, Steps: *steps})
-		}
-	default:
-		bench := strings.ToUpper(*app)
-		cls := microgrid.NPBClass((*class)[0])
-		fn = func(ctx *microgrid.AppContext) error {
-			return microgrid.RunNPB(ctx, bench, cls, nil)
-		}
-	}
-
-	report, err := m.RunApp(*app, fn, microgrid.RunOptions{})
+	checkPartition(partition, *shards, s.EngineShards)
+	report, err := microgrid.RunScenarioEnv(s, microgrid.ScenarioEnv{
+		BaseDir:   filepath.Dir(*scen),
+		Shards:    *shards,
+		Partition: partition,
+	})
 	if err != nil {
 		fail(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"microgrid/internal/gis"
 	"microgrid/internal/simcore"
+	"microgrid/internal/topology"
 )
 
 func TestBuildDirect(t *testing.T) {
@@ -53,6 +54,19 @@ func TestBuildValidation(t *testing.T) {
 	_ = spec
 	if _, err := Build(BuildConfig{Target: AlphaCluster, Topo: nil, HostRanks: nil}); err != nil {
 		t.Fatalf("default build failed: %v", err)
+	}
+	// A host takes one entry in the virtual host table: HostRanks naming
+	// one twice is refused at build, not left to fail GIS discovery.
+	two, err := topology.ParseSpec(strings.NewReader("topology two\nhost a 10.0.0.1\nhost b 10.0.0.2\nrouter sw\nlink a sw 100Mbps 25µs\nlink b sw 100Mbps 25µs\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(BuildConfig{Target: AlphaCluster, Topo: two, HostRanks: []string{"a", "a", "b"}}); err == nil ||
+		!strings.Contains(err.Error(), `HostRanks names "a" twice`) {
+		t.Fatalf("repeated rank host: %v", err)
+	}
+	if _, err := Build(BuildConfig{Target: AlphaCluster, Topo: two, HostRanks: []string{"b", "a"}}); err != nil {
+		t.Fatalf("distinct rank hosts: %v", err)
 	}
 }
 

@@ -177,32 +177,41 @@ func build(cfg BuildConfig, traces *TraceCollector) (*MicroGrid, error) {
 	var hostCfgs []virtual.HostConfig
 	base := netsim.MustParseAddr("1.11.11.1")
 	if topo != nil {
-		if generated {
-			// Every generated host is a virtual host, in generation order
-			// (clusters front-loaded, so a small working set stays local).
+		// Every generated host is a virtual host, in generation order
+		// (clusters front-loaded, so a small working set stays local); a
+		// written topology's virtual hosts are HostRanks, each once.
+		hosts := topo.Hosts
+		if !generated {
+			if len(cfg.HostRanks) == 0 {
+				return nil, fmt.Errorf("core: custom topology requires HostRanks")
+			}
+			byName := make(map[string]topology.HostSpec, len(topo.Hosts))
 			for _, h := range topo.Hosts {
-				hostNames = append(hostNames, h.Name)
+				byName[h.Name] = h
 			}
-		} else if len(cfg.HostRanks) == 0 {
-			return nil, fmt.Errorf("core: custom topology requires HostRanks")
-		} else {
-			hostNames = append(hostNames, cfg.HostRanks...)
-		}
-		byName := map[string]string{}
-		for _, h := range topo.Hosts {
-			byName[h.Name] = h.Addr
-		}
-		for _, name := range hostNames {
-			addrStr, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("core: HostRanks names %q, absent from topology", name)
+			hosts = make([]topology.HostSpec, 0, len(cfg.HostRanks))
+			for _, name := range cfg.HostRanks {
+				h, ok := byName[name]
+				if !ok {
+					return nil, fmt.Errorf("core: HostRanks names %q, absent from topology", name)
+				}
+				if h.Name == "" {
+					return nil, fmt.Errorf("core: HostRanks names %q twice; set RunOptions.RanksPerHost to run several ranks on one host", name)
+				}
+				byName[name] = topology.HostSpec{} // taken: one table entry per host
+				hosts = append(hosts, h)
 			}
-			addr, err := netsim.ParseAddr(addrStr)
+		}
+		hostNames = make([]string, 0, len(hosts))
+		hostCfgs = make([]virtual.HostConfig, 0, len(hosts))
+		for _, h := range hosts {
+			addr, err := netsim.ParseAddr(h.Addr)
 			if err != nil {
 				return nil, err
 			}
+			hostNames = append(hostNames, h.Name)
 			hostCfgs = append(hostCfgs, virtual.HostConfig{
-				Name: name, IP: addr,
+				Name: h.Name, IP: addr,
 				CPUSpeedMIPS: cfg.Target.CPUMIPS,
 				MemoryBytes:  cfg.Target.MemoryBytes,
 			})
@@ -222,8 +231,9 @@ func build(cfg BuildConfig, traces *TraceCollector) (*MicroGrid, error) {
 	// Lazy materialization keeps a declared-but-untouched host down to
 	// its netsim node: generated topologies always (their host counts
 	// are the point), hand-written grids past a threshold no committed
-	// scenario reaches (so small grids keep their historical build path
-	// bit-for-bit).
+	// scenario reaches. Laziness is observable — the GIS lists and the
+	// report's utilization rows cover only the working set — so small
+	// grids stay eager and keep every host in both.
 	vcfg := virtual.Config{
 		Lazy: cfg.Emulation == nil && (generated || len(hostCfgs) >= lazyHostThreshold),
 	}
@@ -231,6 +241,7 @@ func build(cfg BuildConfig, traces *TraceCollector) (*MicroGrid, error) {
 	// Physical platform and mapping.
 	if cfg.Emulation == nil {
 		vcfg.Direct = true
+		vcfg.Phys = make([]virtual.PhysConfig, 0, len(hostCfgs))
 		for i := range hostCfgs {
 			pname := "phys-" + hostCfgs[i].Name
 			hostCfgs[i].MappedPhysical = pname
@@ -284,8 +295,8 @@ func build(cfg BuildConfig, traces *TraceCollector) (*MicroGrid, error) {
 // GIS directory, it picks the simulation engine, builds the grid
 // runtime — its clusters placed on shards when partitioned — sets the
 // parallel lookahead, attaches trace recorders, wires the GIS home and
-// starts a gatekeeper on every host (a lazy grid defers those to
-// EnsureHost, so RunApp brings up exactly its working set).
+// ensures every host (a lazy grid leaves that to RunApp, so it brings
+// up exactly its job's working set).
 func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, func(netsim.LinkConfig) netsim.LinkConfig) error,
 	hostNames []string, configName string, server *gis.Server, traces *TraceCollector) (*MicroGrid, error) {
 	if cfg.Partition != nil && cfg.Emulation != nil {
@@ -343,14 +354,12 @@ func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, f
 	m.wireGISHome()
 
 	// Globus: a gatekeeper on every virtual host, registered in the GIS.
+	// A lazy grid brings up only the hosts RunApp's job touches.
 	if !m.lazy {
 		for _, name := range hostNames {
-			gk, err := globus.StartGatekeeper(grid.Host(name), 0, m.Registry)
-			if err != nil {
+			if err := m.EnsureHost(name); err != nil {
 				return nil, err
 			}
-			gk.RegisterInGIS(m.GIS, OrgUnit, configName, grid.Host(name).Phys.Name)
-			m.gatekeepers[name] = gk
 		}
 	}
 	return m, nil
@@ -408,7 +417,8 @@ func (m *MicroGrid) putGatekeeper(name string, gk *globus.Gatekeeper) {
 
 // lazyHostThreshold is the declared-host count past which a
 // hand-written direct-mode grid builds lazily. Committed scenarios are
-// orders of magnitude smaller, so their build path is unchanged.
+// orders of magnitude smaller, so each of their hosts stays in the GIS
+// and the utilization report.
 const lazyHostThreshold = 4096
 
 // LazyHosts reports whether this grid materializes hosts on first
@@ -416,13 +426,10 @@ const lazyHostThreshold = 4096
 func (m *MicroGrid) LazyHosts() bool { return m.lazy }
 
 // EnsureHost materializes a declared host and its middleware — the
-// virtual host runtime, a gatekeeper, and the host's GIS record. On an
-// eager grid (or an already-ensured host) it is a no-op. RunApp calls
-// it for every host in the job's working set before submitting.
+// virtual host runtime, a gatekeeper, and the host's GIS record — once;
+// later calls are no-ops. An eager grid ensures every host at build;
+// RunApp ensures the job's working set before submitting.
 func (m *MicroGrid) EnsureHost(name string) error {
-	if !m.lazy {
-		return nil
-	}
 	if m.ensured[name] {
 		return nil
 	}

@@ -99,19 +99,13 @@ func (m *MicroGrid) RunApp(name string, fn func(ctx *AppContext) error, opts Run
 	for i := range rankHosts {
 		rankHosts[i] = m.Hosts[i%len(m.Hosts)]
 	}
-	if m.lazy {
-		// Bring up exactly the job's working set: a 100k-host declaration
-		// with a 256-rank job materializes (and registers in the GIS) 256
-		// hosts. Happens before the engine runs, so it is deterministic
-		// at any shard count.
-		ensured := make(map[string]bool, len(rankHosts))
-		for _, hn := range rankHosts {
-			if !ensured[hn] {
-				ensured[hn] = true
-				if err := m.EnsureHost(hn); err != nil {
-					return nil, err
-				}
-			}
+	// Bring up exactly the job's working set: a 100k-host declaration
+	// with a 256-rank job materializes (and registers in the GIS) 256
+	// hosts. Happens before the engine runs, so it is deterministic at
+	// any shard count.
+	for _, hn := range rankHosts {
+		if err := m.EnsureHost(hn); err != nil {
+			return nil, err
 		}
 	}
 	col := autopilot.NewCollector(m.Eng, m.Grid.Clock())
@@ -242,13 +236,9 @@ func (m *MicroGrid) RunApp(name string, fn func(ctx *AppContext) error, opts Run
 	report.Net = m.Grid.Network().TotalStats()
 	report.HostUtilization = make(map[string]float64)
 	seen := map[string]bool{}
-	for _, name := range m.Hosts {
-		// Untouched hosts on a lazy grid have no physical machine and
-		// consumed nothing; reporting sweeps only the materialized set.
-		h := m.Grid.Materialized(name)
-		if h == nil {
-			continue
-		}
+	// Untouched hosts on a lazy grid have no physical machine and
+	// consumed nothing; reporting sweeps only the materialized set.
+	for _, h := range m.Grid.MaterializedHosts() {
 		p := h.Phys
 		if !seen[p.Name] {
 			seen[p.Name] = true

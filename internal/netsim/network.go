@@ -256,6 +256,10 @@ type Node struct {
 // Engine returns the engine (shard) the node runs on.
 func (nd *Node) Engine() *simcore.Engine { return nd.eng }
 
+// Index returns the node's compact per-network index: 0..NodeCount()-1
+// in creation order, stable for the network's lifetime.
+func (nd *Node) Index() int { return int(nd.idx) }
+
 // iface is one direction of attachment: sending on it transmits over ch.
 type iface struct {
 	node *Node
@@ -315,6 +319,9 @@ func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
 // NodeByAddr returns the node owning addr, or nil.
 func (n *Network) NodeByAddr(a Addr) *Node { return n.byAddr[a] }
+
+// NodeCount reports how many nodes the network holds.
+func (n *Network) NodeCount() int { return int(n.nnodes) }
 
 // Nodes returns all nodes sorted by name.
 func (n *Network) Nodes() []*Node {

@@ -268,10 +268,15 @@ func (s *Scenario) Validate() error {
 		for _, h := range s.Topology.Hosts {
 			declared[h.Name] = true
 		}
+		listed := make(map[string]bool, len(s.HostRanks))
 		for _, r := range s.HostRanks {
 			if !declared[r] {
 				return fmt.Errorf("ranks names %q, absent from topology", r)
 			}
+			if listed[r] {
+				return fmt.Errorf("ranks names %q twice; list each host once and run several ranks per host with 'workload ... rph=N'", r)
+			}
+			listed[r] = true
 		}
 	}
 	if s.Topology == nil && len(s.HostRanks) > 0 {

@@ -77,9 +77,19 @@ func TestChaosTargetValidationLAN(t *testing.T) {
 	}
 }
 
+// Each ranks entry names a declared topology host, once: a host takes
+// one entry in the virtual host table, and several ranks share a host
+// through the workload's rph= option, which the error points to.
 func TestRanksMustNameTopologyHosts(t *testing.T) {
-	text := strings.Replace(chaosTopoHeader, "ranks a b", "ranks a ghost", 1)
-	if _, err := ParseString(text); err == nil || !strings.Contains(err.Error(), "absent from topology") {
-		t.Fatalf("ranks naming a missing host: %v", err)
+	for ranks, want := range map[string][]string{
+		"ranks a ghost": {"absent from topology"},
+		"ranks a a b":   {`ranks names "a" twice`, "rph="},
+	} {
+		_, err := ParseString(strings.Replace(chaosTopoHeader, "ranks a b", ranks, 1))
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s: err = %v, want %q", ranks, err, w)
+			}
+		}
 	}
 }

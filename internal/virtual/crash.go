@@ -87,16 +87,16 @@ func (g *Grid) CrashPhysHost(name string) error {
 	if !ok {
 		return fmt.Errorf("virtual: unknown physical host %q", name)
 	}
-	var resident []string
-	for n, h := range g.hosts {
+	var resident []*Host
+	for _, h := range g.live {
 		if h.Phys == p {
-			resident = append(resident, n)
+			resident = append(resident, h)
 		}
 	}
-	sort.Strings(resident)
+	sort.Slice(resident, func(i, j int) bool { return resident[i].Name < resident[j].Name })
 	p.Fail()
-	for _, n := range resident {
-		g.hosts[n].Crash()
+	for _, h := range resident {
+		h.Crash()
 	}
 	if mc, ok := g.controllers[name]; ok {
 		mc.Terminate()

@@ -94,7 +94,7 @@ type Config struct {
 	// state only for the hosts a workload actually touches. Lazy
 	// requires Direct mode: fraction controllers are placed at build
 	// time and would defeat the point. Host configurations are still
-	// validated eagerly, so Host() cannot fail later.
+	// validated at build, so Host() cannot fail later.
 	Lazy bool
 }
 
@@ -105,20 +105,26 @@ type Grid struct {
 	vnet   *netsim.Network
 	rate   float64
 	direct bool
-	hosts  map[string]*Host
-	byIP   map[netsim.Addr]*Host
-	phys   map[string]*cpusched.Host
+
+	// The host table. decl is every declared host in declaration order
+	// and physOf its physical machine's index in physCfgs. declOf and
+	// hosts are keyed by netsim's compact node index: a node's position
+	// in decl (-1 for routers) and its runtime state (nil until
+	// materialized). Name and address lookups go through the network's
+	// own node maps. live lists the materialized hosts in
+	// materialization order, so sweeps over them cost the working set,
+	// not the declaration.
+	decl     []HostConfig
+	physOf   []int32
+	declOf   []int32
+	hosts    []*Host
+	live     []*Host
+	physCfgs []PhysConfig
+	phys     map[string]*cpusched.Host
 	// controllers holds one MicroGrid scheduler daemon per physical host
 	// (emulated grids only).
 	controllers map[string]*cpusched.MultiController
 	stagger     float64
-
-	// lazy grids keep declared-but-untouched hosts as configurations;
-	// materialize moves one to hosts/byIP on first Host() touch.
-	lazy     bool
-	hostCfgs map[string]HostConfig
-	physCfgs map[string]PhysConfig
-	addrName map[netsim.Addr]string
 
 	sendOverheadOps float64
 	perByteOps      float64
@@ -171,20 +177,30 @@ type Host struct {
 // must create one netsim node per virtual host (matching Name and IP) plus
 // any routers/links. Link parameters passed to scale() are converted from
 // virtual to engine units.
+//
+// Every declared host is validated here, so materializing one later
+// cannot fail. An eager grid then materializes every host in declaration
+// order; a lazy one waits for each host's first touch.
 func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.LinkConfig) error) (*Grid, error) {
 	if len(cfg.Hosts) == 0 {
 		return nil, fmt.Errorf("virtual: no hosts configured")
 	}
-	physCfg := make(map[string]PhysConfig, len(cfg.Phys))
-	for _, pc := range cfg.Phys {
+	if cfg.Lazy && !cfg.Direct {
+		return nil, fmt.Errorf("virtual: lazy host materialization requires direct mode")
+	}
+	physIdx := make(map[string]int32, len(cfg.Phys))
+	for i, pc := range cfg.Phys {
 		if pc.CPUSpeedMIPS <= 0 {
 			return nil, fmt.Errorf("virtual: physical host %s needs positive speed", pc.Name)
 		}
-		physCfg[pc.Name] = pc
+		if _, dup := physIdx[pc.Name]; dup {
+			return nil, fmt.Errorf("virtual: physical host %s declared twice", pc.Name)
+		}
+		physIdx[pc.Name] = int32(i)
 	}
 
 	// Direct mode runs at rate 1 whatever cfg.Rate says, so it skips
-	// the feasibility pass; both host loops below still reject a host
+	// the feasibility pass; the host loop below still rejects a host
 	// mapped to an unknown physical machine, with the same message.
 	rate := 1.0
 	if !cfg.Direct {
@@ -196,7 +212,7 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		// (several virtual hosts may share one machine).
 		demand := map[string]float64{}
 		for _, h := range cfg.Hosts {
-			if _, ok := physCfg[h.MappedPhysical]; !ok {
+			if _, ok := physIdx[h.MappedPhysical]; !ok {
 				return nil, fmt.Errorf("virtual: host %s maps to unknown physical %q", h.Name, h.MappedPhysical)
 			}
 			demand[h.MappedPhysical] += h.CPUSpeedMIPS
@@ -205,7 +221,7 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		for name, d := range demand {
 			rr = append(rr, vtime.ResourceRate{
 				Resource: name, Kind: "cpu",
-				Physical: physCfg[name].CPUSpeedMIPS, Virtual: d,
+				Physical: cfg.Phys[physIdx[name]].CPUSpeedMIPS, Virtual: d,
 			})
 		}
 		rate, _ = vtime.MaxFeasibleRate(rr)
@@ -219,9 +235,7 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		clock:           vtime.NewClock(eng, rate),
 		rate:            rate,
 		direct:          cfg.Direct,
-		hosts:           make(map[string]*Host),
-		byIP:            make(map[netsim.Addr]*Host),
-		phys:            make(map[string]*cpusched.Host, len(cfg.Phys)),
+		phys:            make(map[string]*cpusched.Host),
 		controllers:     make(map[string]*cpusched.MultiController),
 		stagger:         cfg.StaggerSpread,
 		sendOverheadOps: cfg.SendOverheadOps,
@@ -251,72 +265,29 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		}
 	}
 
-	if cfg.Lazy {
-		if !cfg.Direct {
-			return nil, fmt.Errorf("virtual: lazy host materialization requires direct mode")
-		}
-		// Validate every declared host now — cheap map lookups against the
-		// wired topology — so a later Host() touch cannot fail. Runtime
-		// state waits for that touch.
-		g.lazy = true
-		g.hostCfgs = make(map[string]HostConfig, len(cfg.Hosts))
-		g.physCfgs = physCfg
-		g.addrName = make(map[netsim.Addr]string, len(cfg.Hosts))
-		for _, hc := range cfg.Hosts {
-			if hc.CPUSpeedMIPS <= 0 {
-				return nil, fmt.Errorf("virtual: host %s needs positive CPU speed", hc.Name)
-			}
-			pc, ok := physCfg[hc.MappedPhysical]
-			if !ok {
-				return nil, fmt.Errorf("virtual: host %s maps to unknown physical %q", hc.Name, hc.MappedPhysical)
-			}
-			if hc.CPUSpeedMIPS > pc.CPUSpeedMIPS+1e-9 {
-				return nil, fmt.Errorf("virtual: direct mode: host %s (%.0f MIPS) exceeds physical %s (%.0f MIPS)",
-					hc.Name, hc.CPUSpeedMIPS, pc.Name, pc.CPUSpeedMIPS)
-			}
-			node := g.vnet.Node(hc.Name)
-			if node == nil {
-				return nil, fmt.Errorf("virtual: topology has no node for host %s", hc.Name)
-			}
-			if node.Addr != hc.IP {
-				return nil, fmt.Errorf("virtual: node %s has address %v, config says %v", hc.Name, node.Addr, hc.IP)
-			}
-			g.hostCfgs[hc.Name] = hc
-			g.addrName[hc.IP] = hc.Name
-		}
-		return g, nil
+	// Validate every declared host against the wired topology and fill
+	// the table. A physical host lives on the engine of the virtual hosts
+	// mapped onto it, so its CPU scheduler shares their shard.
+	g.decl, g.physCfgs = cfg.Hosts, cfg.Phys
+	g.physOf = make([]int32, len(cfg.Hosts))
+	g.declOf = make([]int32, g.vnet.NodeCount())
+	for i := range g.declOf {
+		g.declOf[i] = -1
 	}
-
-	// Physical hosts are created on the engine of the virtual hosts
-	// mapped onto them, so a host's CPU scheduler shares its shard.
-	physEng := make(map[string]*simcore.Engine, len(cfg.Phys))
-	for _, hc := range cfg.Hosts {
-		nd := g.vnet.Node(hc.Name)
-		if nd == nil {
-			continue // the host loop below reports the missing node
-		}
-		he := nd.Engine()
-		if prev, ok := physEng[hc.MappedPhysical]; ok && prev != he {
-			return nil, fmt.Errorf("virtual: physical host %s is shared by virtual hosts on different PDES shards", hc.MappedPhysical)
-		}
-		physEng[hc.MappedPhysical] = he
-	}
-	for _, pc := range cfg.Phys {
-		pe := physEng[pc.Name]
-		if pe == nil {
-			pe = eng
-		}
-		g.phys[pc.Name] = cpusched.NewHost(pe, pc.Name, pc.CPUSpeedMIPS, pc.Quantum)
-	}
-	phys := g.phys
-
-	for _, hc := range cfg.Hosts {
+	g.hosts = make([]*Host, len(g.declOf))
+	physEng := make([]*simcore.Engine, len(cfg.Phys))
+	for i, hc := range cfg.Hosts {
 		if hc.CPUSpeedMIPS <= 0 {
 			return nil, fmt.Errorf("virtual: host %s needs positive CPU speed", hc.Name)
 		}
-		p, ok := phys[hc.MappedPhysical]
+		pi, ok := physIdx[hc.MappedPhysical]
 		if !ok {
 			return nil, fmt.Errorf("virtual: host %s maps to unknown physical %q", hc.Name, hc.MappedPhysical)
+		}
+		pc := cfg.Phys[pi]
+		if cfg.Direct && hc.CPUSpeedMIPS > pc.CPUSpeedMIPS+1e-9 {
+			return nil, fmt.Errorf("virtual: direct mode: host %s (%.0f MIPS) exceeds physical %s (%.0f MIPS)",
+				hc.Name, hc.CPUSpeedMIPS, pc.Name, pc.CPUSpeedMIPS)
 		}
 		node := g.vnet.Node(hc.Name)
 		if node == nil {
@@ -325,44 +296,33 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		if node.Addr != hc.IP {
 			return nil, fmt.Errorf("virtual: node %s has address %v, config says %v", hc.Name, node.Addr, hc.IP)
 		}
-		mem := hc.MemoryBytes
-		if mem == 0 {
-			mem = 4 << 30
+		if g.declOf[node.Index()] >= 0 {
+			return nil, fmt.Errorf("virtual: host %s declared twice", hc.Name)
 		}
-		heng := node.Engine()
-		h := &Host{
-			grid:         g,
-			eng:          heng,
-			clock:        vtime.NewClock(heng, rate),
-			Name:         hc.Name,
-			IP:           hc.IP,
-			CPUSpeedMIPS: hc.CPUSpeedMIPS,
-			Node:         node,
-			Mem:          memmodel.NewLimiter(mem),
-			Phys:         p,
-			cpu:          simcore.NewMutex(heng),
+		if e := physEng[pi]; e != nil && e != node.Engine() {
+			return nil, fmt.Errorf("virtual: physical host %s is shared by virtual hosts on different PDES shards", pc.Name)
 		}
-		h.task = p.NewTask("vhost:" + hc.Name)
-		if cfg.Direct {
-			h.Fraction = 1
-			if hc.CPUSpeedMIPS > p.SpeedMIPS()+1e-9 {
-				return nil, fmt.Errorf("virtual: direct mode: host %s (%.0f MIPS) exceeds physical %s (%.0f MIPS)",
-					hc.Name, hc.CPUSpeedMIPS, p.Name, p.SpeedMIPS())
-			}
-		} else {
-			h.Fraction = hc.CPUSpeedMIPS * rate / p.SpeedMIPS()
-			if h.Fraction > 1+1e-9 {
-				return nil, fmt.Errorf("virtual: infeasible rate %.4g: host %s needs fraction %.3f of %s",
-					rate, hc.Name, h.Fraction, p.Name)
-			}
-			job, err := g.controllerFor(p).AddJob(h.task, h.Fraction)
-			if err != nil {
-				return nil, fmt.Errorf("virtual: mapping %s onto %s: %w", hc.Name, p.Name, err)
-			}
-			h.job = job
+		physEng[pi] = node.Engine()
+		g.declOf[node.Index()] = int32(i)
+		g.physOf[i] = pi
+	}
+	if cfg.Lazy {
+		return g, nil
+	}
+
+	// Eager: every physical machine comes up, in declaration order (one
+	// no virtual host maps onto stays on the grid's engine), then every
+	// declared host materializes in declaration order.
+	for pi, e := range physEng {
+		if e == nil {
+			e = eng
 		}
-		g.hosts[hc.Name] = h
-		g.byIP[hc.IP] = h
+		g.physHost(pi, e)
+	}
+	for _, hc := range cfg.Hosts {
+		if _, err := g.materialize(g.vnet.Node(hc.Name)); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
@@ -407,45 +367,50 @@ func (g *Grid) Network() *netsim.Network { return g.vnet }
 // Host returns the named virtual host, or nil. On a lazy grid the
 // first touch materializes the host's runtime state (validated at
 // build time, so materialization cannot fail).
-func (g *Grid) Host(name string) *Host {
-	if h, ok := g.hosts[name]; ok {
-		return h
-	}
-	if g.lazy {
-		if hc, ok := g.hostCfgs[name]; ok {
-			return g.materialize(hc)
-		}
-	}
-	return nil
-}
+func (g *Grid) Host(name string) *Host { return g.hostAt(g.vnet.Node(name)) }
 
-// Materialized returns the named host only if its runtime state already
-// exists — it never triggers materialization. On an eager grid every
-// declared host is materialized, so this equals Host.
-func (g *Grid) Materialized(name string) *Host { return g.hosts[name] }
+// MaterializedHosts returns the hosts whose runtime state exists, in
+// materialization order (declaration order on an eager grid); it never
+// triggers materialization. The caller must not modify the slice.
+func (g *Grid) MaterializedHosts() []*Host { return g.live }
 
 // MaterializedCount reports how many declared hosts have runtime state.
-func (g *Grid) MaterializedCount() int { return len(g.hosts) }
+func (g *Grid) MaterializedCount() int { return len(g.live) }
 
 // DeclaredHosts reports the total declared host count, materialized or
 // not.
-func (g *Grid) DeclaredHosts() int { return len(g.hosts) + len(g.hostCfgs) }
+func (g *Grid) DeclaredHosts() int { return len(g.decl) }
 
-// materialize builds the runtime state of one declared host: its
-// physical CPU (created on the host's shard on first use), clock, CPU
-// scheduler task, and memory limiter — the body of NewGrid's eager
-// loop, deferred to first touch. Only lazy (hence direct-mode) grids
-// reach here, so there is no fraction controller to register with.
-func (g *Grid) materialize(hc HostConfig) *Host {
-	node := g.vnet.Node(hc.Name)
-	heng := node.Engine()
-	p, ok := g.phys[hc.MappedPhysical]
-	if !ok {
-		pc := g.physCfgs[hc.MappedPhysical]
-		quantum := pc.Quantum
-		p = cpusched.NewHost(heng, pc.Name, pc.CPUSpeedMIPS, quantum)
-		g.phys[pc.Name] = p
+// declared reports whether nd is a declared virtual host's node (not a
+// router, and not a node wired after the grid was built).
+func (g *Grid) declared(nd *netsim.Node) bool {
+	return nd != nil && nd.Index() < len(g.declOf) && g.declOf[nd.Index()] >= 0
+}
+
+// hostAt returns the virtual host attached at nd, materializing it on
+// first touch, or nil when nd is not a declared host.
+func (g *Grid) hostAt(nd *netsim.Node) *Host {
+	if !g.declared(nd) {
+		return nil
 	}
+	if h := g.hosts[nd.Index()]; h != nil {
+		return h
+	}
+	// Only a lazy — hence direct-mode — grid reaches here, and a direct
+	// host's materialization cannot fail.
+	h, _ := g.materialize(nd)
+	return h
+}
+
+// materialize builds the runtime state of the declared host at node:
+// its physical CPU (created on the host's shard on first use), clock,
+// CPU scheduler task and memory limiter, and on an emulated grid its
+// CPU fraction under the physical machine's scheduler daemon.
+func (g *Grid) materialize(node *netsim.Node) (*Host, error) {
+	i := g.declOf[node.Index()]
+	hc := &g.decl[i]
+	heng := node.Engine()
+	p := g.physHost(int(g.physOf[i]), heng)
 	mem := hc.MemoryBytes
 	if mem == 0 {
 		mem = 4 << 30
@@ -464,32 +429,47 @@ func (g *Grid) materialize(hc HostConfig) *Host {
 		cpu:          simcore.NewMutex(heng),
 	}
 	h.task = p.NewTask("vhost:" + hc.Name)
-	g.hosts[hc.Name] = h
-	g.byIP[hc.IP] = h
-	delete(g.hostCfgs, hc.Name)
-	return h
+	if !g.direct {
+		h.Fraction = hc.CPUSpeedMIPS * g.rate / p.SpeedMIPS()
+		if h.Fraction > 1+1e-9 {
+			return nil, fmt.Errorf("virtual: infeasible rate %.4g: host %s needs fraction %.3f of %s",
+				g.rate, hc.Name, h.Fraction, p.Name)
+		}
+		job, err := g.controllerFor(p).AddJob(h.task, h.Fraction)
+		if err != nil {
+			return nil, fmt.Errorf("virtual: mapping %s onto %s: %w", hc.Name, p.Name, err)
+		}
+		h.job = job
+	}
+	g.hosts[node.Index()] = h
+	g.live = append(g.live, h)
+	return h, nil
 }
 
-// Phys returns the named physical host, or nil.
+// physHost returns physical machine pi, creating it on eng first.
+func (g *Grid) physHost(pi int, eng *simcore.Engine) *cpusched.Host {
+	pc := &g.physCfgs[pi]
+	if p, ok := g.phys[pc.Name]; ok {
+		return p
+	}
+	p := cpusched.NewHost(eng, pc.Name, pc.CPUSpeedMIPS, pc.Quantum)
+	g.phys[pc.Name] = p
+	return p
+}
+
+// PhysHost returns the named physical host, or nil (on a lazy grid, also
+// for a machine no materialized host maps onto yet).
 func (g *Grid) PhysHost(name string) *cpusched.Host { return g.phys[name] }
 
-// Resolve is the gethostbyname analog: virtual host name → virtual IP.
-// Resolving a lazy host's name answers from its declaration without
-// materializing it.
+// Resolve is the gethostbyname analog: virtual host name (or dotted
+// address) → virtual IP. Resolving a lazy host answers from its
+// declaration without materializing it.
 func (g *Grid) Resolve(name string) (netsim.Addr, error) {
-	if h, ok := g.hosts[name]; ok {
-		return h.IP, nil
+	if nd := g.vnet.Node(name); g.declared(nd) {
+		return nd.Addr, nil
 	}
-	if hc, ok := g.hostCfgs[name]; ok {
-		return hc.IP, nil
-	}
-	if a, err := netsim.ParseAddr(name); err == nil {
-		if _, ok := g.byIP[a]; ok {
-			return a, nil
-		}
-		if _, ok := g.addrName[a]; ok {
-			return a, nil
-		}
+	if a, err := netsim.ParseAddr(name); err == nil && g.declared(g.vnet.NodeByAddr(a)) {
+		return a, nil
 	}
 	return 0, fmt.Errorf("virtual: unknown host %q", name)
 }
@@ -497,15 +477,7 @@ func (g *Grid) Resolve(name string) (netsim.Addr, error) {
 // HostByIP is the reverse mapping; a declared-but-untouched host
 // materializes (callers hold a live connection to it, so it is about
 // to be touched anyway).
-func (g *Grid) HostByIP(a netsim.Addr) *Host {
-	if h, ok := g.byIP[a]; ok {
-		return h
-	}
-	if name, ok := g.addrName[a]; ok {
-		return g.Host(name)
-	}
-	return nil
-}
+func (g *Grid) HostByIP(a netsim.Addr) *Host { return g.hostAt(g.vnet.NodeByAddr(a)) }
 
 // controllerFor returns — creating and spawning on demand — the MicroGrid
 // scheduler daemon of a physical host. The daemon cycles on a fixed wall
@@ -541,15 +513,12 @@ func (g *Grid) StopControllers() {
 	}
 }
 
-// Hosts returns all virtual host names (unordered), materialized or
-// not.
+// HostNames returns every declared virtual host name, materialized or
+// not, in declaration order.
 func (g *Grid) HostNames() []string {
-	out := make([]string, 0, len(g.hosts)+len(g.hostCfgs))
-	for n := range g.hosts {
-		out = append(out, n)
-	}
-	for n := range g.hostCfgs {
-		out = append(out, n)
+	out := make([]string, len(g.decl))
+	for i, hc := range g.decl {
+		out[i] = hc.Name
 	}
 	return out
 }

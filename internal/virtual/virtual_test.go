@@ -331,6 +331,26 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewGrid(eng, cfg, LANWire(cfg.Hosts, 1e6, 0)); err == nil {
 		t.Fatal("unknown physical mapping accepted")
 	}
+
+	// The host table holds one entry per host and per physical machine.
+	a := HostConfig{Name: "a", IP: 1, CPUSpeedMIPS: 10, MappedPhysical: "p"}
+	wireA := func(nw *netsim.Network, _ func(netsim.LinkConfig) netsim.LinkConfig) error {
+		nw.AddHost("a", 1)
+		return nil
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Direct: true, Hosts: []HostConfig{a, a}, Phys: []PhysConfig{{Name: "p", CPUSpeedMIPS: 10}}},
+			"virtual: host a declared twice"},
+		{Config{Direct: true, Hosts: []HostConfig{a}, Phys: []PhysConfig{{Name: "p", CPUSpeedMIPS: 10}, {Name: "p", CPUSpeedMIPS: 20}}},
+			"virtual: physical host p declared twice"},
+	} {
+		if _, err := NewGrid(simcore.NewEngine(1), tc.cfg, wireA); err == nil || err.Error() != tc.want {
+			t.Errorf("err = %v, want %q", err, tc.want)
+		}
+	}
 }
 
 // TestRatePassShortcut: direct mode skips the feasible-rate pass, which
