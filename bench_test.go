@@ -507,14 +507,15 @@ func BenchmarkPartitionedFig14(b *testing.B) {
 // BenchmarkScale100k pins the scalable resource model's economics:
 // build and run the committed 100k-host example (a generated star grid,
 // flow-fidelity wide area, NPB MG on an 8-rank working set) and report
-// allocated bytes and heap allocations per DECLARED host. Laziness is the whole claim —
-// untouched declarations must cost a few hundred bytes (a HostConfig
-// and a netsim node with its access link, indexed by the node's compact
-// index), not a scheduler, gatekeeper daemon, and GIS row each — so CI
-// holds bytes/host and allocs/host
-// under absolute ceilings (cmd/benchjson -ceiling). A regression to
-// eager materialization would blow past them by orders of magnitude; a
-// build step that derives per-host state twice steps past them too.
+// allocated bytes and heap allocations per DECLARED host. Laziness is
+// the whole claim — an untouched declaration must cost about a kilobyte
+// (a HostConfig, a netsim node and its access link carved from chunked
+// storage, the generated name and address strings), not a scheduler,
+// gatekeeper daemon, and GIS row each — so CI holds bytes/host and
+// allocs/host under absolute ceilings (cmd/benchjson -ceiling). A
+// regression to eager materialization would blow past them by orders of
+// magnitude; a build step that derives per-host state twice, or a node
+// or link allocated one object at a time, steps past them too.
 func BenchmarkScale100k(b *testing.B) {
 	data, err := os.ReadFile("examples/scale-100k/scale100k.scenario")
 	if err != nil {

@@ -175,43 +175,46 @@ func build(cfg BuildConfig, traces *TraceCollector) (*MicroGrid, error) {
 	// Virtual host set.
 	var hostNames []string
 	var hostCfgs []virtual.HostConfig
+	var topoAddrs []netsim.Addr // topo.Hosts' addresses, parsed once
 	base := netsim.MustParseAddr("1.11.11.1")
 	if topo != nil {
 		// Every generated host is a virtual host, in generation order
 		// (clusters front-loaded, so a small working set stays local); a
 		// written topology's virtual hosts are HostRanks, each once.
-		hosts := topo.Hosts
+		var err error
+		if topoAddrs, err = topo.Addrs(); err != nil {
+			return nil, err
+		}
+		hosts, addrs := topo.Hosts, topoAddrs
 		if !generated {
 			if len(cfg.HostRanks) == 0 {
 				return nil, fmt.Errorf("core: custom topology requires HostRanks")
 			}
-			byName := make(map[string]topology.HostSpec, len(topo.Hosts))
-			for _, h := range topo.Hosts {
-				byName[h.Name] = h
+			byName := make(map[string]int, len(topo.Hosts))
+			for i, h := range topo.Hosts {
+				byName[h.Name] = i
 			}
 			hosts = make([]topology.HostSpec, 0, len(cfg.HostRanks))
+			addrs = make([]netsim.Addr, 0, len(cfg.HostRanks))
 			for _, name := range cfg.HostRanks {
-				h, ok := byName[name]
+				i, ok := byName[name]
 				if !ok {
 					return nil, fmt.Errorf("core: HostRanks names %q, absent from topology", name)
 				}
-				if h.Name == "" {
+				if i < 0 {
 					return nil, fmt.Errorf("core: HostRanks names %q twice; set RunOptions.RanksPerHost to run several ranks on one host", name)
 				}
-				byName[name] = topology.HostSpec{} // taken: one table entry per host
-				hosts = append(hosts, h)
+				byName[name] = -1 // taken: one table entry per host
+				hosts = append(hosts, topo.Hosts[i])
+				addrs = append(addrs, topoAddrs[i])
 			}
 		}
 		hostNames = make([]string, 0, len(hosts))
 		hostCfgs = make([]virtual.HostConfig, 0, len(hosts))
-		for _, h := range hosts {
-			addr, err := netsim.ParseAddr(h.Addr)
-			if err != nil {
-				return nil, err
-			}
+		for i, h := range hosts {
 			hostNames = append(hostNames, h.Name)
 			hostCfgs = append(hostCfgs, virtual.HostConfig{
-				Name: h.Name, IP: addr,
+				Name: h.Name, IP: addrs[i],
 				CPUSpeedMIPS: cfg.Target.CPUMIPS,
 				MemoryBytes:  cfg.Target.MemoryBytes,
 			})
@@ -268,7 +271,7 @@ func build(cfg BuildConfig, traces *TraceCollector) (*MicroGrid, error) {
 	if topo != nil {
 		spec := topo
 		wire = func(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.LinkConfig) error {
-			return spec.Apply(nw, scale)
+			return spec.ApplyAddrs(nw, topoAddrs, scale)
 		}
 	}
 

@@ -11,11 +11,7 @@
 // requires of its network component.
 package netsim
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Addr is an IPv4-style address. Virtual grid hosts get addresses like
 // 1.11.11.2 (as in the paper's GIS records); the zero Addr is invalid.
@@ -29,21 +25,37 @@ func MakeAddr(a, b, c, d byte) Addr {
 	return Addr(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// ParseAddr parses dotted-quad notation ("1.11.11.2").
+// ParseAddr parses dotted-quad notation ("1.11.11.2"). Each of the four
+// octets is what strconv.Atoi accepts in 0..255: an optional sign, then
+// one or more decimal digits, so "+1", "-0" and "001" are octets. It
+// scans s in place, without splitting it into substrings.
 func ParseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	var a Addr
+	i, k := 0, 0
+	for ; k < 4; k++ {
+		if k > 0 {
+			if i == len(s) || s[i] != '.' {
+				break
+			}
+			i++
+		}
+		neg := i < len(s) && s[i] == '-'
+		if neg || i < len(s) && s[i] == '+' {
+			i++
+		}
+		start, v := i, 0
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9' && v <= 255; i++ {
+			v = v*10 + int(s[i]-'0')
+		}
+		if i == start || v > 255 || neg && v != 0 {
+			break
+		}
+		a = a<<8 | Addr(v)
+	}
+	if k < 4 || i != len(s) {
 		return 0, fmt.Errorf("netsim: invalid address %q", s)
 	}
-	var octets [4]byte
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
-			return 0, fmt.Errorf("netsim: invalid address %q", s)
-		}
-		octets[i] = byte(v)
-	}
-	return MakeAddr(octets[0], octets[1], octets[2], octets[3]), nil
+	return a, nil
 }
 
 // MustParseAddr is ParseAddr that panics on error, for literals in tests

@@ -65,8 +65,6 @@ func (l *Link) ScheduleFlap(at simcore.Time, downFor, upFor simcore.Duration, co
 // both directions (a lossy but live link, unlike SetDown).
 func (l *Link) SetLossProb(p float64) {
 	l.Config.LossProb = p
-	l.ab.cfg.LossProb = p
-	l.ba.cfg.LossProb = p
 }
 
 // Degrade scales the link's bandwidth and delay by the given factors and
@@ -117,8 +115,6 @@ func (l *Link) Restore() {
 
 func (l *Link) applyConfig(cfg LinkConfig) {
 	l.Config = cfg
-	l.ab.cfg = cfg
-	l.ba.cfg = cfg
 	// Route costs changed; stale tables rebuild lazily. Cluster structure
 	// is pinned at ComputeRoutes time, so a degraded LAN link does not
 	// reshuffle clusters mid-run.
@@ -182,12 +178,12 @@ func (c *channel) setDown(down bool) {
 	c.down = down
 	if down {
 		// Everything queued or in flight is lost.
-		c.Dropped += int64(len(c.queue))
-		c.src.stats.PacketsDropped += int64(len(c.queue))
-		for _, pkt := range c.queue {
+		c.Dropped += int64(c.queued())
+		c.src.stats.PacketsDropped += int64(c.queued())
+		for _, pkt := range c.queue[c.qhead:] {
 			c.src.freePacket(pkt)
 		}
-		c.queue = nil
+		c.queue, c.qhead = nil, 0
 		c.queuedBytes = 0
 		c.epoch++
 		c.busy = false

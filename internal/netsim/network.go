@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"microgrid/internal/simcore"
@@ -69,10 +70,13 @@ func (f Fidelity) String() string {
 // (transport endpoints, timers, packet pools, statistics bucket) lives on
 // that shard and inter-shard packet hops travel as cross-shard sends.
 type Network struct {
-	eng      *simcore.Engine
-	nodes    map[string]*Node
-	byAddr   map[Addr]*Node
-	links    []*Link
+	eng    *simcore.Engine
+	nodes  map[string]*Node
+	byAddr map[Addr]*Node
+	links  []*Link
+	// Nodes and links are carved from chunked storage (see slab.go).
+	nodeSlab slab[Node]
+	linkSlab slab[Link]
 	autoID   uint32
 	nnodes   int32 // next compact node index (creation order, stable)
 	routed   bool
@@ -225,12 +229,14 @@ type Node struct {
 	// across route recomputation), used to index routing slices.
 	idx    int32
 	Router bool
-	ifaces []*iface
+	// out lists the channels the node transmits on, in link creation
+	// order (the relaxation order routing's tie-breaks depend on).
+	out []*channel
 	// localTab is the node's lazily built intra-cluster next-hop table,
 	// indexed by the destination's cluster-local index (see routing.go);
 	// tabEpoch records the routeEpoch it was built at. Nodes that never
 	// send or forward allocate no routing state.
-	localTab []*iface
+	localTab []*channel
 	tabEpoch int64
 	// Transport maps are nil until first use (reads of a nil map are
 	// safe), so declared-but-untouched hosts carry no endpoint state.
@@ -260,18 +266,13 @@ func (nd *Node) Engine() *simcore.Engine { return nd.eng }
 // in creation order, stable for the network's lifetime.
 func (nd *Node) Index() int { return int(nd.idx) }
 
-// iface is one direction of attachment: sending on it transmits over ch.
-type iface struct {
-	node *Node
-	ch   *channel
-}
-
 // Link is a full-duplex link between two nodes, made of two independent
-// directed channels.
+// directed channels. The link owns both channels, so one Link is one
+// piece of storage.
 type Link struct {
 	A, B   *Node
 	Config LinkConfig
-	ab, ba *channel
+	ab, ba channel
 	down   bool
 	// orig remembers the pre-Degrade configuration (nil when undegraded).
 	orig *LinkConfig
@@ -296,7 +297,8 @@ func (n *Network) addNode(name string, addr Addr, router bool) *Node {
 	if _, dup := n.byAddr[addr]; dup {
 		panic(fmt.Sprintf("netsim: duplicate address %v", addr))
 	}
-	nd := &Node{
+	nd := n.nodeSlab.next()
+	*nd = Node{
 		net:      n,
 		Name:     name,
 		Addr:     addr,
@@ -312,6 +314,20 @@ func (n *Network) addNode(name string, addr Addr, router bool) *Node {
 	n.byAddr[addr] = nd
 	n.routed = false
 	return nd
+}
+
+// Grow reserves storage for nodes more nodes and links more links, so a
+// builder that knows its size (a topology spec, a LAN) takes them from
+// one exactly sized chunk each. It is a hint: adding more still works.
+func (n *Network) Grow(nodes, links int) {
+	if len(n.nodes) == 0 {
+		// Sized once rather than rehashed as they fill.
+		n.nodes = make(map[string]*Node, nodes)
+		n.byAddr = make(map[Addr]*Node, nodes)
+	}
+	n.nodeSlab.grow(nodes)
+	n.linkSlab.grow(links)
+	n.links = slices.Grow(n.links, links)
 }
 
 // Node returns the named node, or nil.
@@ -373,36 +389,47 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	if cfg.QueueBytes == 0 {
 		cfg.QueueBytes = DefaultQueueBytes
 	}
-	l := &Link{A: a, B: b, Config: cfg}
-	l.ab = newChannel(n, a, b, cfg)
-	l.ba = newChannel(n, b, a, cfg)
-	a.ifaces = append(a.ifaces, &iface{node: a, ch: l.ab})
-	b.ifaces = append(b.ifaces, &iface{node: b, ch: l.ba})
+	l := n.linkSlab.next()
+	*l = Link{
+		A: a, B: b, Config: cfg,
+		ab: channel{src: a, dst: b, cfg: &l.Config},
+		ba: channel{src: b, dst: a, cfg: &l.Config},
+	}
+	a.out = append(a.out, &l.ab)
+	b.out = append(b.out, &l.ba)
 	n.links = append(n.links, l)
 	n.routed = false
 	return l
 }
 
-// PathDelay returns the summed propagation delay of the routed path from a
-// to b, and the hop count; ok is false if unreachable.
-func (n *Network) PathDelay(a, b *Node) (simcore.Duration, int, bool) {
+// walkPath calls visit on each channel of the routed path from a to b,
+// in order. It reports false if b is unreachable, the walk loops, or
+// visit returns false.
+func (n *Network) walkPath(a, b *Node, visit func(*channel) bool) bool {
 	if !n.routed {
 		n.ComputeRoutes()
 	}
+	for cur, hops := a, 0; cur != b; hops++ {
+		ch := n.nextHop(cur, b.idx)
+		if ch == nil || hops == len(n.nodes) || !visit(ch) {
+			return false // unreachable, routing loop, or stopped
+		}
+		cur = ch.dst
+	}
+	return true
+}
+
+// PathDelay returns the summed propagation delay of the routed path from a
+// to b, and the hop count; ok is false if unreachable.
+func (n *Network) PathDelay(a, b *Node) (simcore.Duration, int, bool) {
 	var total simcore.Duration
 	hops := 0
-	cur := a
-	for cur != b {
-		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil {
-			return 0, 0, false
-		}
-		total += ifc.ch.cfg.Delay
-		cur = ifc.ch.dst
+	if !n.walkPath(a, b, func(ch *channel) bool {
+		total += ch.cfg.Delay
 		hops++
-		if hops > len(n.nodes) {
-			return 0, 0, false // routing loop
-		}
+		return true
+	}) {
+		return 0, 0, false
 	}
 	return total, hops, true
 }
@@ -411,28 +438,12 @@ func (n *Network) PathDelay(a, b *Node) (simcore.Duration, int, bool) {
 // path from a to b; ok is false if unreachable. A loopback path (a == b)
 // has no bandwidth constraint and reports +Inf.
 func (n *Network) PathBottleneckBps(a, b *Node) (float64, bool) {
-	if !n.routed {
-		n.ComputeRoutes()
-	}
-	if a == b {
-		return math.Inf(1), true
-	}
-	bw := 0.0
-	cur := a
-	hops := 0
-	for cur != b {
-		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil {
-			return 0, false
-		}
-		if bw == 0 || ifc.ch.cfg.BandwidthBps < bw {
-			bw = ifc.ch.cfg.BandwidthBps
-		}
-		cur = ifc.ch.dst
-		hops++
-		if hops > len(n.nodes) {
-			return 0, false
-		}
+	bw := math.Inf(1)
+	if !n.walkPath(a, b, func(ch *channel) bool {
+		bw = min(bw, ch.cfg.BandwidthBps)
+		return true
+	}) {
+		return 0, false
 	}
 	return bw, true
 }
@@ -445,26 +456,7 @@ func (n *Network) PathAllFlow(a, b *Node) bool {
 	if a == b || b == nil {
 		return false
 	}
-	if !n.routed {
-		n.ComputeRoutes()
-	}
-	cur := a
-	hops := 0
-	for cur != b {
-		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil {
-			return false
-		}
-		if ifc.ch.cfg.Fidelity != FidelityFlow {
-			return false
-		}
-		cur = ifc.ch.dst
-		hops++
-		if hops > len(n.nodes) {
-			return false
-		}
-	}
-	return true
+	return n.walkPath(a, b, func(ch *channel) bool { return ch.cfg.Fidelity == FidelityFlow })
 }
 
 // DirectionStats reports one link direction's counters. At quiescence
@@ -503,39 +495,26 @@ func (l *Link) Stats() [2]DirectionStats {
 		return DirectionStats{
 			From: from, To: to,
 			Sent: c.Sent, Dropped: c.Dropped, Lost: c.Lost,
-			Enqueued: c.Enqueued, Aborted: c.Aborted, Queued: len(c.queue),
+			Enqueued: c.Enqueued, Aborted: c.Aborted, Queued: c.queued(),
 			BytesSent:   c.BytesSent,
 			Utilization: util,
 		}
 	}
 	return [2]DirectionStats{
-		mk(l.ab, l.A.Name, l.B.Name),
-		mk(l.ba, l.B.Name, l.A.Name),
+		mk(&l.ab, l.A.Name, l.B.Name),
+		mk(&l.ba, l.B.Name, l.A.Name),
 	}
 }
 
 // PathMTU returns the minimum MTU along the routed path from a to b
 // (DefaultMTU if a == b); ok is false if unreachable.
 func (n *Network) PathMTU(a, b *Node) (int, bool) {
-	if !n.routed {
-		n.ComputeRoutes()
-	}
 	mtu := DefaultMTU
-	cur := a
-	hops := 0
-	for cur != b {
-		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil {
-			return 0, false
-		}
-		if ifc.ch.cfg.MTU < mtu {
-			mtu = ifc.ch.cfg.MTU
-		}
-		cur = ifc.ch.dst
-		hops++
-		if hops > len(n.nodes) {
-			return 0, false
-		}
+	if !n.walkPath(a, b, func(ch *channel) bool {
+		mtu = min(mtu, ch.cfg.MTU)
+		return true
+	}) {
+		return 0, false
 	}
 	return mtu, true
 }

@@ -104,12 +104,15 @@ const defaultTTL = 64
 // the source node's engine; when the destination lives on another shard
 // the propagation leg crosses as a cross-shard send.
 type channel struct {
-	net      *Network
 	src, dst *Node
-	cfg      LinkConfig
-	// queue holds packets awaiting serialization; queuedBytes tracks the
-	// drop-tail occupancy.
+	// cfg is the owning link's Config, which both directions share.
+	cfg *LinkConfig
+	// queue[qhead:] holds packets awaiting serialization, oldest first;
+	// queuedBytes tracks the drop-tail occupancy. Popped slots are nil'd
+	// and, once the queue empties, a small backing array is reused from
+	// its start (see maxKeptQueue).
 	queue       []*Packet
+	qhead       int
 	queuedBytes int
 	busy        bool
 	// down marks a failed link direction; epoch invalidates in-flight
@@ -132,10 +135,6 @@ type channel struct {
 	// flowBusyUntil serializes back-to-back transmissions on a
 	// flow-fidelity channel (see flowTransmit); unused at packet fidelity.
 	flowBusyUntil simcore.Time
-}
-
-func newChannel(net *Network, src, dst *Node, cfg LinkConfig) *channel {
-	return &channel{net: net, src: src, dst: dst, cfg: cfg}
 }
 
 // name is the channel's stable "src->dst" label. It is built on demand —
@@ -182,6 +181,13 @@ func (c *channel) send(pkt *Packet) {
 		}
 		c.src.freePacket(pkt)
 		return
+	}
+	if len(c.queue) == cap(c.queue) && c.qhead > 0 {
+		// Full only because of popped slots: slide the live packets to
+		// the array's start rather than grow it.
+		n := copy(c.queue, c.queue[c.qhead:])
+		clear(c.queue[n:])
+		c.queue, c.qhead = c.queue[:n], 0
 	}
 	c.queue = append(c.queue, pkt)
 	c.queuedBytes += pkt.Size
@@ -276,7 +282,7 @@ func (h *hopEvent) fire() {
 			h.arrived = true
 			c.src.eng.After(c.cfg.Delay, h.run)
 		}
-		if len(c.queue) > 0 {
+		if c.queued() > 0 {
 			c.startNext()
 		} else {
 			c.busy = false
@@ -293,10 +299,26 @@ func (h *hopEvent) fire() {
 	c.dst.receive(pkt)
 }
 
+// maxKeptQueue is the largest queue array a drained channel keeps: a
+// steady flow's packet or two reuses it, a burst's array is released.
+const maxKeptQueue = 4
+
+// queued reports how many packets await serialization.
+func (c *channel) queued() int { return len(c.queue) - c.qhead }
+
 // startNext begins serializing the head-of-line packet.
 func (c *channel) startNext() {
-	pkt := c.queue[0]
-	c.queue = c.queue[1:]
+	pkt := c.queue[c.qhead]
+	c.queue[c.qhead] = nil
+	c.qhead++
+	if c.qhead == len(c.queue) {
+		c.qhead = 0
+		if cap(c.queue) > maxKeptQueue {
+			c.queue = nil // a burst's array goes; the next burst regrows one
+		} else {
+			c.queue = c.queue[:0]
+		}
+	}
 	c.queuedBytes -= pkt.Size
 	c.busy = true
 	txTime := simcore.DurationOfSeconds(float64(pkt.Size) * 8 / c.cfg.BandwidthBps)
@@ -330,13 +352,13 @@ func (n *Node) sendPacket(pkt *Packet) error {
 		return fmt.Errorf("netsim: no route from %s to %v", n.Name, pkt.Dst)
 	}
 	pkt.dstIdx = dn.idx
-	ifc := n.net.nextHop(n, dn.idx)
-	if ifc == nil {
+	ch := n.net.nextHop(n, dn.idx)
+	if ch == nil {
 		n.freePacket(pkt)
 		return fmt.Errorf("netsim: no route from %s to %v", n.Name, pkt.Dst)
 	}
 	n.stats.PacketsOriginated++
-	ifc.ch.send(pkt)
+	ch.send(pkt)
 	return nil
 }
 
@@ -358,8 +380,8 @@ func (n *Node) receive(pkt *Packet) {
 			n.freePacket(pkt)
 			return
 		}
-		ifc := n.net.nextHop(n, pkt.dstIdx)
-		if ifc == nil {
+		ch := n.net.nextHop(n, pkt.dstIdx)
+		if ch == nil {
 			n.stats.PacketsDropped++
 			if rec := n.eng.Recorder(); rec.Enabled(trace.CatNet) {
 				rec.Event(trace.CatNet, "drop", trace.Attr{
@@ -369,7 +391,7 @@ func (n *Node) receive(pkt *Packet) {
 			return
 		}
 		n.Forwarded++
-		ifc.ch.send(pkt)
+		ch.send(pkt)
 		return
 	}
 	n.Delivered++

@@ -39,19 +39,10 @@ import (
 const hopPenalty = simcore.Microsecond
 
 // borderEdge is one direction of a WAN link in the summarized cluster
-// graph: crossing from the cluster owning ifc.node into cluster to.
+// graph: crossing on out from the cluster owning out.src into cluster to.
 type borderEdge struct {
 	to  int32
-	ifc *iface
-}
-
-// egressEntry is the routing decision for one (srcCluster, dstCluster)
-// pair: every node in the source cluster forwards toward gw, which
-// crosses on out.
-type egressEntry struct {
-	gw  *Node
-	out *iface
-	ok  bool
+	out *channel
 }
 
 // hier is the network's hierarchical routing state, rebuilt whenever the
@@ -65,9 +56,11 @@ type hier struct {
 	// borderOut[c] lists the WAN edges leaving cluster c, in link
 	// creation order (the relaxation order the flat model used).
 	borderOut [][]borderEdge
-	// egress[c] is cluster c's lazily built decision row; egressEpoch[c]
-	// records the routeEpoch it was built at.
-	egress      [][]egressEntry
+	// egress[c] is cluster c's lazily built decision row: egress[c][d]
+	// is the channel every node in c forwards toward cluster d over (its
+	// gateway is the channel's src), nil when d is unreachable or d == c.
+	// egressEpoch[c] records the routeEpoch the row was built at.
+	egress      [][]*channel
 	egressEpoch []int64
 }
 
@@ -91,24 +84,14 @@ func (n *Network) ComputeRoutes() {
 		if ca == cb {
 			continue
 		}
-		h.borderOut[ca] = append(h.borderOut[ca], borderEdge{to: cb, ifc: ifaceFor(l.A, l.ab)})
-		h.borderOut[cb] = append(h.borderOut[cb], borderEdge{to: ca, ifc: ifaceFor(l.B, l.ba)})
+		h.borderOut[ca] = append(h.borderOut[ca], borderEdge{to: cb, out: &l.ab})
+		h.borderOut[cb] = append(h.borderOut[cb], borderEdge{to: ca, out: &l.ba})
 	}
-	h.egress = make([][]egressEntry, len(clusters))
+	h.egress = make([][]*channel, len(clusters))
 	h.egressEpoch = make([]int64, len(clusters))
 	n.hier = h
 	n.routeEpoch++
 	n.routed = true
-}
-
-// ifaceFor finds nd's attachment that transmits on ch.
-func ifaceFor(nd *Node, ch *channel) *iface {
-	for _, ifc := range nd.ifaces {
-		if ifc.ch == ch {
-			return ifc
-		}
-	}
-	return nil
 }
 
 // invalidateRoutes marks every lazily built table stale after a link
@@ -121,10 +104,10 @@ func (n *Network) invalidateRoutes() {
 	n.routeEpoch++
 }
 
-// nextHop returns the interface node nd uses toward the node with compact
-// index dstIdx, or nil if unreachable. The caller must ensure the network
-// is routed.
-func (n *Network) nextHop(nd *Node, dstIdx int32) *iface {
+// nextHop returns the channel node nd transmits on toward the node with
+// compact index dstIdx, or nil if unreachable. The caller must ensure the
+// network is routed.
+func (n *Network) nextHop(nd *Node, dstIdx int32) *channel {
 	h := n.hier
 	c, d := h.clusterOf[nd.idx], h.clusterOf[dstIdx]
 	if c == d {
@@ -133,17 +116,14 @@ func (n *Network) nextHop(nd *Node, dstIdx int32) *iface {
 		}
 		return nd.localTab[h.localIdx[dstIdx]]
 	}
-	e := n.egressTo(c, d)
-	if e == nil {
-		return nil
-	}
-	if e.gw == nd {
-		return e.out
+	out := n.egressTo(c, d)
+	if out == nil || out.src == nd {
+		return out
 	}
 	if nd.tabEpoch != n.routeEpoch || nd.localTab == nil {
 		n.buildLocalTab(nd)
 	}
-	return nd.localTab[h.localIdx[e.gw.idx]]
+	return nd.localTab[h.localIdx[out.src.idx]]
 }
 
 // buildLocalTab runs Dijkstra from nd over its cluster's subgraph — the
@@ -157,7 +137,7 @@ func (n *Network) buildLocalTab(nd *Node) {
 	dist := make([]simcore.Duration, size)
 	reached := make([]bool, size)
 	visited := make([]bool, size)
-	first := make([]*iface, size)
+	first := make([]*channel, size)
 	reached[h.localIdx[nd.idx]] = true
 	for {
 		var u *Node
@@ -176,20 +156,20 @@ func (n *Network) buildLocalTab(nd *Node) {
 			break
 		}
 		visited[ui] = true
-		for _, ifc := range u.ifaces {
-			if ifc.ch.down {
+		for _, ch := range u.out {
+			if ch.down {
 				continue
 			}
-			v := ifc.ch.dst
+			v := ch.dst
 			if h.clusterOf[v.idx] != c {
 				continue
 			}
 			vi := h.localIdx[v.idx]
-			cost := best + ifc.ch.cfg.Delay + hopPenalty
+			cost := best + ch.cfg.Delay + hopPenalty
 			if !reached[vi] || cost < dist[vi] {
 				dist[vi], reached[vi] = cost, true
 				if u == nd {
-					first[vi] = ifc
+					first[vi] = ch
 				} else {
 					first[vi] = first[ui]
 				}
@@ -201,24 +181,22 @@ func (n *Network) buildLocalTab(nd *Node) {
 	nd.tabEpoch = n.routeEpoch
 }
 
-// egressTo returns cluster c's egress decision toward cluster d, building
-// the row lazily via Dijkstra over the summarized cluster graph.
-func (n *Network) egressTo(c, d int32) *egressEntry {
+// egressTo returns the channel cluster c leaves on toward cluster d (nil
+// if unreachable), building the row lazily via Dijkstra over the
+// summarized cluster graph.
+func (n *Network) egressTo(c, d int32) *channel {
 	h := n.hier
 	if h.egress[c] == nil || h.egressEpoch[c] != n.routeEpoch {
 		n.buildEgress(c)
 	}
-	e := &h.egress[c][d]
-	if !e.ok {
-		return nil
-	}
-	return e
+	return h.egress[c][d]
 }
 
 // buildEgress runs Dijkstra from cluster c over the summarized graph.
 // Cluster ids ascend in representative-name order (see Clusters),
 // so extraction by smallest id mirrors the flat model's name tie-break;
-// border edges relax in link creation order, mirroring iface order.
+// border edges relax in link creation order, mirroring each node's
+// channel order.
 // Intra-cluster transit is costed at zero — exact for singleton transit
 // clusters (backbone routers and cores), which is every committed and
 // generated family.
@@ -228,7 +206,7 @@ func (n *Network) buildEgress(c int32) {
 	dist := make([]simcore.Duration, nc)
 	reached := make([]bool, nc)
 	visited := make([]bool, nc)
-	first := make([]*iface, nc)
+	first := make([]*channel, nc)
 	reached[c] = true
 	for {
 		u := int32(-1)
@@ -246,28 +224,21 @@ func (n *Network) buildEgress(c int32) {
 		}
 		visited[u] = true
 		for _, be := range h.borderOut[u] {
-			if be.ifc == nil || be.ifc.ch.down {
+			if be.out.down {
 				continue
 			}
-			cost := best + be.ifc.ch.cfg.Delay + hopPenalty
+			cost := best + be.out.cfg.Delay + hopPenalty
 			if !reached[be.to] || cost < dist[be.to] {
 				dist[be.to], reached[be.to] = cost, true
 				if u == c {
-					first[be.to] = be.ifc
+					first[be.to] = be.out
 				} else {
 					first[be.to] = first[u]
 				}
 			}
 		}
 	}
-	row := make([]egressEntry, nc)
-	for d := 0; d < nc; d++ {
-		if int32(d) == c || first[d] == nil {
-			continue
-		}
-		row[d] = egressEntry{gw: first[d].node, out: first[d], ok: true}
-	}
-	h.egress[c] = row
+	h.egress[c] = first // first[c] stays nil: c never relaxes to itself
 	h.egressEpoch[c] = n.routeEpoch
 }
 
@@ -278,11 +249,11 @@ func (n *Network) NextHopName(nd, dst *Node) string {
 	if !n.routed {
 		n.ComputeRoutes()
 	}
-	ifc := n.nextHop(nd, dst.idx)
-	if ifc == nil {
+	ch := n.nextHop(nd, dst.idx)
+	if ch == nil {
 		return ""
 	}
-	return ifc.ch.dst.Name
+	return ch.dst.Name
 }
 
 // RouteStateBytes estimates the memory held by materialized routing
@@ -297,7 +268,7 @@ func (n *Network) RouteStateBytes() int64 {
 	}
 	if n.hier != nil {
 		for _, row := range n.hier.egress {
-			total += int64(len(row)) * 24
+			total += int64(len(row)) * 8
 		}
 	}
 	return total

@@ -95,12 +95,32 @@ func (s *Spec) Build(eng *simcore.Engine) (*netsim.Network, error) {
 // virtual.Grid materializes a topology with simulation-rate scaling.
 // Routes are not recomputed.
 func (s *Spec) Apply(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.LinkConfig) error {
-	for _, h := range s.Hosts {
-		addr, err := netsim.ParseAddr(h.Addr)
+	addrs, err := s.Addrs()
+	if err != nil {
+		return err
+	}
+	return s.ApplyAddrs(nw, addrs, scale)
+}
+
+// Addrs parses every host's address, in Hosts order.
+func (s *Spec) Addrs() ([]netsim.Addr, error) {
+	addrs := make([]netsim.Addr, len(s.Hosts))
+	for i, h := range s.Hosts {
+		a, err := netsim.ParseAddr(h.Addr)
 		if err != nil {
-			return fmt.Errorf("topology %s: host %s: %v", s.Name, h.Name, err)
+			return nil, fmt.Errorf("topology %s: host %s: %v", s.Name, h.Name, err)
 		}
-		nw.AddHost(h.Name, addr)
+		addrs[i] = a
+	}
+	return addrs, nil
+}
+
+// ApplyAddrs is Apply for a caller that already parsed the hosts'
+// addresses with Addrs: addrs[i] is Hosts[i]'s address.
+func (s *Spec) ApplyAddrs(nw *netsim.Network, addrs []netsim.Addr, scale func(netsim.LinkConfig) netsim.LinkConfig) error {
+	nw.Grow(len(s.Hosts)+len(s.Routers), len(s.Links))
+	for i, h := range s.Hosts {
+		nw.AddHost(h.Name, addrs[i])
 	}
 	for _, r := range s.Routers {
 		nw.AddRouter(r)
@@ -149,6 +169,7 @@ func (l *EthernetLAN) AddTo(nw *netsim.Network) (*netsim.Node, error) {
 	if delay == 0 {
 		delay = 25 * simcore.Microsecond
 	}
+	nw.Grow(len(l.Hosts)+1, len(l.Hosts))
 	sw := nw.AddRouter(l.Name + "-switch")
 	for _, h := range l.Hosts {
 		addr, err := netsim.ParseAddr(h.Addr)

@@ -16,6 +16,7 @@ func LANWire(hosts []HostConfig, bwBps float64, perSide simcore.Duration) func(*
 		if bwBps <= 0 {
 			return fmt.Errorf("virtual: LAN needs positive bandwidth")
 		}
+		nw.Grow(len(hosts)+1, len(hosts))
 		sw := nw.AddRouter("lan-switch")
 		cfg := scale(netsim.LinkConfig{BandwidthBps: bwBps, Delay: perSide})
 		for _, h := range hosts {
