@@ -360,6 +360,40 @@ func BenchmarkEngineEventThroughputTraceOff(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineEventsMixedDelays is the event-throughput bench with
+// every event missing the delay lanes: each lane is pinned by a
+// placeholder far past the run, and 64 chains schedule at random delays,
+// so every event is pushed onto and popped off the heap — its depth
+// about that of a packet-level LAN run. Next to
+// BenchmarkEngineEventThroughput it shows what the heap fallback costs.
+func BenchmarkEngineEventsMixedDelays(b *testing.B) {
+	chains := min(64, b.N)
+	const horizon = simcore.Time(1) << 60
+	eng := simcore.NewEngine(1)
+	for i := 0; i < 8; i++ { // more placeholders than the engine has lanes
+		eng.At(horizon+simcore.Time(i), func() {})
+	}
+	pinned := eng.HeapScheduled()
+	rng := eng.Rand()
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n <= b.N-chains {
+			eng.After(simcore.Duration(1+rng.Intn(1000))*simcore.Nanosecond, tick)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < chains; i++ {
+		eng.After(simcore.Duration(1+rng.Intn(1000))*simcore.Nanosecond, tick)
+	}
+	if err := eng.RunUntil(horizon - 1); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(eng.HeapScheduled()-pinned)/float64(eng.Dispatched()), "heap-events/event")
+}
+
 // benchParallelRing is the shard-scaling workload behind
 // BenchmarkParallelEngineEvents: every shard drives a 1 µs local tick
 // chain (Fig. 10-class event density — the NPB runs dispatch events at
@@ -567,13 +601,16 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 
 // BenchmarkTCPBulkTransfer pins the TCP data path's cost per segment: a
 // 4 MiB lossless bulk transfer between two hosts on one 100 Mb/s link,
-// reporting dispatched events and heap allocations per data segment.
-// Both are machine-independent, so CI gates them with absolute ceilings
-// (cmd/benchjson -ceiling): a per-segment timer event or allocation
-// creeping back onto the packet path steps past them on any runner.
+// reporting dispatched events, events scheduled onto the engine's heap
+// (rather than a delay lane or the same-instant FIFO) and heap
+// allocations per data segment. All three are machine-independent, so CI
+// gates them with absolute ceilings (cmd/benchjson -ceiling): a
+// per-segment timer event or allocation creeping back onto the packet
+// path, or packet events falling off the lanes, steps past them on any
+// runner.
 func BenchmarkTCPBulkTransfer(b *testing.B) {
 	const total, msg = 4 << 20, 64 << 10
-	var events, segments, mallocs uint64
+	var events, heaped, segments, mallocs uint64
 	for i := 0; i < b.N; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -624,9 +661,11 @@ func BenchmarkTCPBulkTransfer(b *testing.B) {
 			b.Fatal("client never connected")
 		}
 		events += uint64(eng.Dispatched())
+		heaped += uint64(eng.HeapScheduled())
 		segments += uint64(client.Stats.SegmentsSent)
 		mallocs += after.Mallocs - before.Mallocs
 	}
 	b.ReportMetric(float64(events)/float64(segments), "events/segment")
+	b.ReportMetric(float64(heaped)/float64(segments), "heap-events/segment")
 	b.ReportMetric(float64(mallocs)/float64(segments), "allocs/segment")
 }

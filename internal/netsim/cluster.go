@@ -73,10 +73,10 @@ func (n *Network) decompose(h *hier) {
 		name string
 		nd   *Node
 	}
+	// Creation order, not map order: the sort's input is then the same
+	// every run, and generated names arrive largely in order.
 	sorted := make([]named, 0, size)
-	for _, nd := range n.nodes {
-		sorted = append(sorted, named{nd.Name, nd})
-	}
+	n.nodeSlab.each(func(nd *Node) { sorted = append(sorted, named{nd.Name, nd}) })
 	slices.SortFunc(sorted, func(a, b named) int { return strings.Compare(a.name, b.name) })
 
 	// First pass: number components in representative order (id maps a

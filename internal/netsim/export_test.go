@@ -5,3 +5,11 @@ package netsim
 func Reserved(nw *Network) (nodes, links int) {
 	return nw.nodeSlab.made, nw.linkSlab.made
 }
+
+// CreationOrder returns nw's nodes in the order they were added, as the
+// node slab hands them out.
+func CreationOrder(nw *Network) []*Node {
+	var out []*Node
+	nw.nodeSlab.each(func(nd *Node) { out = append(out, nd) })
+	return out
+}

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"microgrid/internal/simcore"
 	"microgrid/internal/trace"
@@ -147,7 +147,7 @@ func (n *Node) SetCrashed(crashed bool) {
 	for p := range n.listeners {
 		ports = append(ports, p)
 	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
+	slices.Sort(ports)
 	for _, p := range ports {
 		n.listeners[p].Close()
 	}
@@ -155,16 +155,8 @@ func (n *Node) SetCrashed(crashed bool) {
 	for k := range n.conns {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		ki, kj := keys[i], keys[j]
-		if ki.local != kj.local {
-			return ki.local < kj.local
-		}
-		if ki.remote != kj.remote {
-			return ki.remote < kj.remote
-		}
-		return ki.remotePort < kj.remotePort
-	})
+	// A key's integer order is (local, remote, remotePort) order.
+	slices.Sort(keys)
 	for _, k := range keys {
 		n.conns[k].abort()
 	}

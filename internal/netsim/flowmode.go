@@ -37,7 +37,7 @@ func (c *Conn) connFlow() bool {
 		return true
 	}
 	if c.flowPath == 0 {
-		dst := c.node.net.NodeByAddr(c.key.remote)
+		dst := c.node.net.NodeByAddr(c.key.remote())
 		if c.node.net.PathAllFlow(c.node, dst) {
 			c.flowPath = 1
 		} else {
@@ -105,7 +105,7 @@ func (c *Conn) flowSend(size int, payload any) error {
 	eng := c.node.eng
 	if c.flowDelay == 0 {
 		src := c.node
-		dst := c.node.net.NodeByAddr(c.key.remote)
+		dst := c.node.net.NodeByAddr(c.key.remote())
 		d, _, ok := c.node.net.PathDelay(src, dst)
 		if !ok {
 			return ErrClosed

@@ -13,9 +13,10 @@ import "slices"
 // at most one chunk. A chunk's capacity is rounded up to what the
 // allocator hands out anyway (a size class, or whole pages).
 type slab[T any] struct {
-	free []T // unused tail of the current chunk
-	made int // elements reserved so far, across all chunks
-	want int // size of the next chunk, when grow asked for one
+	chunks [][]T // every chunk at full length, in allocation order
+	free   []T   // unused tail of the last chunk
+	made   int   // elements reserved so far, across all chunks
+	want   int   // size of the next chunk, when grow asked for one
 }
 
 const (
@@ -41,9 +42,23 @@ func (s *slab[T]) next() *T {
 		s.want = 0
 		c := slices.Grow([]T(nil), n)
 		s.free = c[:cap(c)]
+		s.chunks = append(s.chunks, s.free)
 		s.made += len(s.free)
 	}
 	p := &s.free[0]
 	s.free = s.free[1:]
 	return p
+}
+
+// each calls fn on every element handed out, in the order next returned
+// them.
+func (s *slab[T]) each(fn func(*T)) {
+	for i, c := range s.chunks {
+		if i == len(s.chunks)-1 {
+			c = c[:len(c)-len(s.free)]
+		}
+		for j := range c {
+			fn(&c[j])
+		}
+	}
 }

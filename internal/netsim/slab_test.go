@@ -67,6 +67,15 @@ func TestSlabPointersStable(t *testing.T) {
 	if nw.NodeCount() != len(s.nodes) {
 		t.Fatalf("NodeCount = %d, want %d", nw.NodeCount(), len(s.nodes))
 	}
+	order := netsim.CreationOrder(nw)
+	if len(order) != len(s.nodes) {
+		t.Fatalf("the node slab yields %d nodes, want %d", len(order), len(s.nodes))
+	}
+	for i, nd := range s.nodes {
+		if order[i] != nd {
+			t.Fatalf("the node slab yields %s at %d, want %s (creation order)", order[i].Name, i, nd.Name)
+		}
+	}
 	got := nw.Links()
 	if len(got) != len(s.links) {
 		t.Fatalf("Links() has %d links, want %d", len(got), len(s.links))

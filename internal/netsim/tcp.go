@@ -34,12 +34,19 @@ var ErrClosed = errors.New("netsim: connection closed")
 // ErrRefused is returned by Dial when no listener exists at the target.
 var ErrRefused = errors.New("netsim: connection refused")
 
-// connKey identifies a connection endpoint within a node.
-type connKey struct {
-	local      Port
-	remote     Addr
-	remotePort Port
+// connKey identifies a connection endpoint within a node: its local
+// port, remote address and remote port packed into one word, so the
+// per-segment conns lookup hashes a single uint64, and keys compare as
+// integers in (local, remote, remotePort) order.
+type connKey uint64
+
+func makeConnKey(local Port, remote Addr, remotePort Port) connKey {
+	return connKey(local)<<48 | connKey(remote)<<16 | connKey(remotePort)
 }
+
+func (k connKey) local() Port      { return Port(k >> 48) }
+func (k connKey) remote() Addr     { return Addr(k >> 16) }
+func (k connKey) remotePort() Port { return Port(k) }
 
 // Listener accepts incoming stream connections on a port.
 type Listener struct {
@@ -189,10 +196,10 @@ func newConn(n *Node, key connKey) *Conn {
 func (c *Conn) LocalAddr() Addr { return c.node.Addr }
 
 // RemoteAddr returns the peer's address.
-func (c *Conn) RemoteAddr() Addr { return c.key.remote }
+func (c *Conn) RemoteAddr() Addr { return c.key.remote() }
 
 // RemotePort returns the peer's port.
-func (c *Conn) RemotePort() Port { return c.key.remotePort }
+func (c *Conn) RemotePort() Port { return c.key.remotePort() }
 
 // SRTT returns the smoothed RTT estimate (0 before the first sample).
 func (c *Conn) SRTT() simcore.Duration {
@@ -222,7 +229,7 @@ func (n *Node) Dial(p *simcore.Proc, dst Addr, dstPort Port) (*Conn, error) {
 	if n.net.NodeByAddr(dst) == nil {
 		return nil, fmt.Errorf("netsim: dial %v: unknown address", dst)
 	}
-	key := connKey{local: n.ephemeralPort(), remote: dst, remotePort: dstPort}
+	key := makeConnKey(n.ephemeralPort(), dst, dstPort)
 	c := newConn(n, key)
 	c.sendSYN()
 	for !c.established && !c.closed {
@@ -239,8 +246,8 @@ func (c *Conn) sendSYN() {
 	c.synTries++
 	pkt := c.node.newPacket()
 	*pkt = Packet{
-		Src: c.node.Addr, Dst: c.key.remote,
-		SrcPort: c.key.local, DstPort: c.key.remotePort,
+		Src: c.node.Addr, Dst: c.key.remote(),
+		SrcPort: c.key.local(), DstPort: c.key.remotePort(),
 		Kind: kindSYN, Size: HeaderBytes,
 		Payload: c,
 	}
@@ -269,7 +276,7 @@ func (n *Node) deliverTCP(pkt *Packet) {
 		n.onSYN(pkt)
 		return
 	}
-	key := connKey{local: pkt.DstPort, remote: pkt.Src, remotePort: pkt.SrcPort}
+	key := makeConnKey(pkt.DstPort, pkt.Src, pkt.SrcPort)
 	c, ok := n.conns[key]
 	if !ok {
 		if rec := n.eng.Recorder(); rec.Enabled(trace.CatNet) {
@@ -302,7 +309,7 @@ func (n *Node) onSYN(pkt *Packet) {
 		// SYN retries then give up and report ErrRefused).
 		return
 	}
-	key := connKey{local: pkt.DstPort, remote: pkt.Src, remotePort: pkt.SrcPort}
+	key := makeConnKey(pkt.DstPort, pkt.Src, pkt.SrcPort)
 	c, exists := n.conns[key]
 	if !exists {
 		c = newConn(n, key)
@@ -330,8 +337,8 @@ func (c *Conn) onSYNACK(pkt *Packet) {
 	// Final handshake ACK; its arrival establishes the server side.
 	ack := c.node.newPacket()
 	*ack = Packet{
-		Src: c.node.Addr, Dst: c.key.remote,
-		SrcPort: c.key.local, DstPort: c.key.remotePort,
+		Src: c.node.Addr, Dst: c.key.remote(),
+		SrcPort: c.key.local(), DstPort: c.key.remotePort(),
 		Kind: kindACK, Size: HeaderBytes, Ack: -1,
 	}
 	_ = c.node.sendPacket(ack)
@@ -469,8 +476,8 @@ func (c *Conn) maybeFIN() {
 	}
 	fin := c.node.newPacket()
 	*fin = Packet{
-		Src: c.node.Addr, Dst: c.key.remote,
-		SrcPort: c.key.local, DstPort: c.key.remotePort,
+		Src: c.node.Addr, Dst: c.key.remote(),
+		SrcPort: c.key.local(), DstPort: c.key.remotePort(),
 		Kind: kindFIN, Size: HeaderBytes,
 	}
 	if c.connFlow() {
@@ -554,8 +561,8 @@ func (c *Conn) trySend() {
 func (c *Conn) sendSegment(seq int64, length int, retransmit bool) {
 	pkt := c.node.newPacket()
 	*pkt = Packet{
-		Src: c.node.Addr, Dst: c.key.remote,
-		SrcPort: c.key.local, DstPort: c.key.remotePort,
+		Src: c.node.Addr, Dst: c.key.remote(),
+		SrcPort: c.key.local(), DstPort: c.key.remotePort(),
 		Kind: kindData,
 		Size: length + HeaderBytes,
 		Seq:  seq,
@@ -732,8 +739,8 @@ func (c *Conn) onData(pkt *Packet) {
 	// Cumulative ACK, echoing the freshest timestamp.
 	ack := c.node.newPacket()
 	*ack = Packet{
-		Src: c.node.Addr, Dst: c.key.remote,
-		SrcPort: c.key.local, DstPort: c.key.remotePort,
+		Src: c.node.Addr, Dst: c.key.remote(),
+		SrcPort: c.key.local(), DstPort: c.key.remotePort(),
 		Kind: kindACK, Size: HeaderBytes,
 		Ack: c.rcvNxt,
 		TS:  pkt.TS,

@@ -234,3 +234,35 @@ func TestCrossShardTCPMatchesSerial(t *testing.T) {
 		t.Fatalf("report is missing deliveries:\n%s", serial)
 	}
 }
+
+// TestConnKeyPacking checks that a packed connection key keeps its three
+// fields and that keys compare as integers in (local, remote, remotePort)
+// order, the order a crashed node tears its connections down in.
+func TestConnKeyPacking(t *testing.T) {
+	type fields struct {
+		local, remotePort Port
+		remote            Addr
+	}
+	var vals []fields
+	for _, l := range []Port{0, 1, 80, 49152, 65535} {
+		for _, r := range []Addr{0, 1, MustParseAddr("10.0.0.1"), MustParseAddr("255.255.255.255")} {
+			for _, rp := range []Port{0, 7, 65535} {
+				vals = append(vals, fields{l, rp, r})
+			}
+		}
+	}
+	for _, a := range vals {
+		ka := makeConnKey(a.local, a.remote, a.remotePort)
+		if ka.local() != a.local || ka.remote() != a.remote || ka.remotePort() != a.remotePort {
+			t.Fatalf("key %+v unpacked as (%d, %v, %d)", a, ka.local(), ka.remote(), ka.remotePort())
+		}
+		for _, b := range vals {
+			kb := makeConnKey(b.local, b.remote, b.remotePort)
+			less := a.local < b.local ||
+				a.local == b.local && (a.remote < b.remote || a.remote == b.remote && a.remotePort < b.remotePort)
+			if (ka < kb) != less {
+				t.Fatalf("keys %+v and %+v: integer order %v, field order %v", a, b, ka < kb, less)
+			}
+		}
+	}
+}

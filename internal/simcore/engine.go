@@ -6,8 +6,11 @@
 // of them executes at a time: a process runs until it blocks on a simulation
 // primitive (Sleep, Cond.Wait, Queue.Get, ...), at which point control
 // returns to the engine, which advances virtual time to the next event.
-// Because all scheduling flows through a single event heap ordered by
-// (time, sequence), runs are bit-for-bit deterministic for a given seed.
+// Every event carries its time and a sequence number drawn when it was
+// scheduled, and the engine dispatches in that (time, sequence) total
+// order — whether an event waits in the same-instant FIFO, a constant-delay
+// lane or the heap (see Engine) — so runs are bit-for-bit deterministic
+// for a given seed.
 package simcore
 
 import (
@@ -57,9 +60,8 @@ func DurationOfSeconds(s float64) Duration {
 }
 
 // event is a scheduled callback. Events are stored by value — no per-event
-// pointer, no interface boxing — in a 4-ary min-heap ordered by (t, seq),
-// with a same-instant FIFO fast path for events scheduled at the current
-// time (see Engine.At).
+// pointer, no interface boxing — in one of the engine's three queues
+// (see Engine), all ordered by (t, seq).
 type event struct {
 	t   Time
 	seq int64
@@ -79,15 +81,27 @@ func (a *event) before(b *event) bool {
 // all interaction must happen from process goroutines or before/after Run.
 type Engine struct {
 	now Time
-	// heap is a 4-ary min-heap of events with t strictly after now (plus,
-	// transiently, events at now that were scheduled before time advanced
-	// here). fifo holds events scheduled for the current instant while it
-	// executes: every heap entry at t == now predates (has a smaller seq
-	// than) every fifo entry, so the run loop drains same-time heap
-	// entries first and then the fifo in append order — exactly the
-	// (time, seq) total order, without heap traffic for same-instant
-	// bursts (Kill handshakes, Cond wakeups, After(0) chains).
+	// Pending events wait in one of three queues, and dispatch always
+	// takes the (t, seq)-least head among them:
+	//
+	//   - fifo holds events scheduled for the current instant while it
+	//     executes, in append (= seq) order;
+	//   - lanes each hold events scheduled with one delay d, in append
+	//     order — which is (t, seq) order, because now never decreases
+	//     and seq strictly increases, so a later append has t' = now'+d
+	//     ≥ t and seq' > seq;
+	//   - heap, a 4-ary min-heap, holds everything else: delays no lane
+	//     carries, and Timer re-arms, whose reserved seq may be older
+	//     than a lane's tail.
+	//
+	// Placement decides how cheaply an event is found, never when it
+	// runs. A heap or lane entry at t == now was scheduled before time
+	// reached now, so it predates every fifo entry and runs first.
+	// Same-instant bursts (Kill handshakes, Cond wakeups, After(0)) and
+	// constant-delay streams (a link's propagation and serialization)
+	// cost a ring append and a head compare instead of a heap sift.
 	heap     []event
+	lanes    [numLanes]lane
 	fifo     []event
 	fifoHead int
 	seq      int64
@@ -105,8 +119,11 @@ type Engine struct {
 	// stand-alone serial engine.
 	pe    *ParallelEngine
 	shard int
-	// dispatched counts executed events, for events/sec reporting.
+	// dispatched counts executed events, for events/sec reporting;
+	// heaped counts events scheduled onto the heap rather than a lane or
+	// the fifo.
 	dispatched int64
+	heaped     int64
 	// timerFree is the free list of Timer queue entries (see timer.go).
 	timerFree *timerEntry
 }
@@ -163,6 +180,10 @@ func (e *Engine) Parallel() *ParallelEngine { return e.pe }
 // Dispatched returns the number of events this engine has executed.
 func (e *Engine) Dispatched() int64 { return e.dispatched }
 
+// HeapScheduled returns the number of events this engine has scheduled
+// onto its heap — those no delay lane or the same-instant FIFO took.
+func (e *Engine) HeapScheduled() int64 { return e.heaped }
+
 // SendTo schedules fn on engine dst, d from now. On the same engine it is
 // exactly After; across shards of one ParallelEngine it becomes a
 // conservative cross-shard Send, which requires d to be at least the
@@ -198,11 +219,9 @@ func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error and panics: it would silently corrupt causality.
 //
-// Events at the current instant skip the heap entirely: they are appended
-// to a FIFO that the run loop drains in order. This preserves the (time,
-// seq) total order because time never advances while the FIFO is
-// non-empty, so each FIFO entry's seq exceeds that of any heap entry at
-// the same time.
+// Events at the current instant are appended to the same-instant FIFO,
+// later ones to the delay lane for t-now or, failing that, the heap (see
+// Engine).
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("simcore: scheduling event at %v before now %v", t, e.now))
@@ -212,11 +231,72 @@ func (e *Engine) At(t Time, fn func()) {
 		e.fifo = append(e.fifo, event{t: t, seq: e.seq, fn: fn})
 		return
 	}
-	e.heapPush(event{t: t, seq: e.seq, fn: fn})
+	e.schedule(event{t: t, seq: e.seq, fn: fn})
+}
+
+// numLanes is the number of delay lanes. A packet path needs about
+// three (propagation, and serialization of data and ack segments); a
+// few more only lengthen the head scan every dispatch pays.
+const numLanes = 4
+
+// lane is a ring-buffer FIFO of events all scheduled with delay d. Its
+// buffer is allocated on first use, with a power-of-two length.
+type lane struct {
+	d    Duration
+	buf  []event
+	head int
+	n    int
+}
+
+// schedule queues ev, whose t is after now and whose seq was drawn just
+// now: on the lane carrying its delay, else on an empty lane it claims,
+// else on the heap. An event carrying an older seq must use heapPush, as
+// appending it could break the lane's order.
+func (e *Engine) schedule(ev event) {
+	d := ev.t.Sub(e.now)
+	var free *lane
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.d == d {
+			l.push(ev)
+			return
+		}
+		if l.n == 0 && free == nil {
+			free = l
+		}
+	}
+	if free == nil {
+		e.heapPush(ev)
+		return
+	}
+	free.d = d
+	free.push(ev)
+}
+
+// push appends ev, doubling the ring when it is full.
+func (l *lane) push(ev event) {
+	if l.n == len(l.buf) {
+		buf := make([]event, max(2*len(l.buf), 16))
+		k := copy(buf, l.buf[l.head:])
+		copy(buf[k:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.n++
+}
+
+// pop removes and returns the head event.
+func (l *lane) pop() event {
+	ev := l.buf[l.head]
+	l.buf[l.head] = event{} // release the fn reference
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return ev
 }
 
 // heapPush inserts ev into the 4-ary heap, sifting up with hole shifting.
 func (e *Engine) heapPush(ev event) {
+	e.heaped++
 	e.heap = append(e.heap, event{})
 	h := e.heap
 	i := len(h) - 1
@@ -276,7 +356,11 @@ func (e *Engine) siftDown(ev event) {
 
 // pending reports the number of scheduled events.
 func (e *Engine) pending() int {
-	return len(e.heap) + len(e.fifo) - e.fifoHead
+	n := len(e.heap) + len(e.fifo) - e.fifoHead
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -311,51 +395,17 @@ func (d *DeadlockError) Error() string {
 // non-daemon processes were still blocked, Run returns a *DeadlockError
 // (after shutdown); otherwise nil.
 func (e *Engine) Run() error {
-	return e.RunUntil(Time(1)<<62 - 1)
+	return e.RunUntil(maxTime)
 }
 
 // RunUntil executes events with time ≤ limit, then stops. Events beyond the
 // limit remain unexecuted; parked processes are shut down as in Run.
 func (e *Engine) RunUntil(limit Time) error {
-	for !e.stopped {
-		if e.fifoHead < len(e.fifo) {
-			// Heap entries at the current instant were scheduled before
-			// any FIFO entry and must run first.
-			if len(e.heap) > 0 && e.heap[0].t == e.now {
-				ev := e.heapPop()
-				if e.rec.Enabled(trace.CatEngine) {
-					e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-				}
-				e.dispatched++
-				ev.fn()
-				continue
-			}
-			ev := e.fifo[e.fifoHead]
-			e.fifo[e.fifoHead] = event{} // release the fn reference
-			e.fifoHead++
-			if e.fifoHead == len(e.fifo) {
-				e.fifo = e.fifo[:0]
-				e.fifoHead = 0
-			}
-			if e.rec.Enabled(trace.CatEngine) {
-				e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-			}
-			e.dispatched++
-			ev.fn()
-			continue
-		}
-		if len(e.heap) == 0 || e.heap[0].t > limit {
-			// Out-of-range events stay in the heap unexecuted.
-			break
-		}
-		ev := e.heapPop()
-		e.now = ev.t
-		if e.rec.Enabled(trace.CatEngine) {
-			e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-		}
-		e.dispatched++
-		ev.fn()
+	end := limit + 1 // t ≤ limit ⇔ t < limit+1
+	if end <= limit {
+		end = maxTime
 	}
+	e.runWindow(end)
 	var blocked []string
 	for p := range e.procs {
 		if !p.daemon {
@@ -370,6 +420,26 @@ func (e *Engine) RunUntil(limit Time) error {
 	return nil
 }
 
+// earliest returns the (t, seq)-least of the heap top and the lane heads
+// — where it waits (lane index, or -1 for the heap) and a pointer to it
+// — or nil when both are empty.
+func (e *Engine) earliest() (src int, ev *event) {
+	src = -1
+	if len(e.heap) > 0 {
+		ev = &e.heap[0]
+	}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if h := &l.buf[l.head]; ev == nil || h.before(ev) {
+			src, ev = i, h
+		}
+	}
+	return src, ev
+}
+
 // nextEventTime reports the time of the earliest pending event, or
 // ok=false when nothing is scheduled. The FIFO only holds events for the
 // current instant, so a non-empty FIFO means the next event is at now.
@@ -377,50 +447,42 @@ func (e *Engine) nextEventTime() (t Time, ok bool) {
 	if e.fifoHead < len(e.fifo) {
 		return e.now, true
 	}
-	if len(e.heap) == 0 {
-		return 0, false
+	if _, ev := e.earliest(); ev != nil {
+		return ev.t, true
 	}
-	return e.heap[0].t, true
+	return 0, false
 }
 
-// runWindow executes events with time strictly before end — one
-// conservative-PDES time window. It mirrors the RunUntil dispatch loop
-// (including the same-instant FIFO fast path and trace hooks) but leaves
-// end-of-run bookkeeping (blocked-process collection, shutdown) to the
-// coordinating ParallelEngine. The strict bound is what makes windows
-// composable: an event executing at t < end may schedule locally at any
-// t' ≥ now, and cross-shard events injected later are guaranteed to be
-// at ≥ end, so they can never be in this window's past.
+// runWindow executes events in (t, seq) order until Stop is called or the
+// next one is at or after end — one conservative-PDES time window, or a
+// whole RunUntil — and leaves end-of-run bookkeeping (blocked-process
+// collection, shutdown) to the caller. Events at now always run. The
+// strict bound is what makes windows composable: an event executing at
+// t < end may schedule locally at any t' ≥ now, and cross-shard events
+// injected later are guaranteed to be at ≥ end, so they can never be in
+// this window's past.
 func (e *Engine) runWindow(end Time) {
 	for !e.stopped {
-		if e.fifoHead < len(e.fifo) {
-			if len(e.heap) > 0 && e.heap[0].t == e.now {
-				ev := e.heapPop()
-				if e.rec.Enabled(trace.CatEngine) {
-					e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-				}
-				e.dispatched++
-				ev.fn()
-				continue
-			}
-			ev := e.fifo[e.fifoHead]
-			e.fifo[e.fifoHead] = event{}
+		var ev event
+		src, next := e.earliest()
+		if e.fifoHead < len(e.fifo) && (next == nil || next.t != e.now) {
+			// No heap or lane entry is at now; those that are were
+			// scheduled before any FIFO entry and run first.
+			ev = e.fifo[e.fifoHead]
+			e.fifo[e.fifoHead] = event{} // release the fn reference
 			e.fifoHead++
 			if e.fifoHead == len(e.fifo) {
 				e.fifo = e.fifo[:0]
 				e.fifoHead = 0
 			}
-			if e.rec.Enabled(trace.CatEngine) {
-				e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-			}
-			e.dispatched++
-			ev.fn()
-			continue
-		}
-		if len(e.heap) == 0 || e.heap[0].t >= end {
+		} else if next == nil || next.t >= end {
+			// Out-of-range events stay queued unexecuted.
 			return
+		} else if src < 0 {
+			ev = e.heapPop()
+		} else {
+			ev = e.lanes[src].pop()
 		}
-		ev := e.heapPop()
 		e.now = ev.t
 		if e.rec.Enabled(trace.CatEngine) {
 			e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})

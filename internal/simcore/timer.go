@@ -94,7 +94,8 @@ func (tm *Timer) Reset(d Duration) {
 		e.fifo = append(e.fifo, event{t: en.t, seq: en.seq, fn: en.run})
 		return
 	}
-	e.heapPush(event{t: en.t, seq: en.seq, fn: en.run})
+	// The seq is fresh too, so a delay lane may take it, as After's.
+	e.schedule(event{t: en.t, seq: en.seq, fn: en.run})
 }
 
 // Stop cancels the pending expiry, if any. A queued entry stays queued:
@@ -112,7 +113,8 @@ func (en *timerEntry) fire() {
 			// Fired before the deadline it now carries: move to the
 			// reserved slot. That slot's seq was taken at an earlier
 			// instant than now whenever its time is now, so it predates
-			// every FIFO entry and belongs in the heap.
+			// every FIFO entry and belongs in the heap — and it may
+			// predate a delay lane's tail, so no lane may take it.
 			en.t, en.seq = tm.at, tm.seq
 			e.heapPush(event{t: en.t, seq: en.seq, fn: en.run})
 			return

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"microgrid/internal/netsim"
 	"microgrid/internal/simcore"
@@ -119,9 +120,27 @@ func genWANFidelity(g GenSpec) netsim.Fidelity {
 	return netsim.FidelityPacket
 }
 
+// hostName names cluster i's host j: the family's prefix letter, i, 'h',
+// j ("c3h17"). It and hostAddr run once per generated host, so they
+// append into a stack buffer instead of formatting through fmt.
+func hostName(prefix byte, i, j int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix)
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, 'h')
+	b = strconv.AppendInt(b, int64(j), 10)
+	return string(b)
+}
+
 // hostAddr numbers cluster i's host j: 16+i/256 . i%256 . 1 . j+1.
 func hostAddr(i, j int) string {
-	return fmt.Sprintf("%d.%d.1.%d", 16+i/256, i%256, j+1)
+	var buf [32]byte
+	b := strconv.AppendInt(buf[:0], int64(16+i/256), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(i%256), 10)
+	b = append(b, ".1."...)
+	b = strconv.AppendInt(b, int64(j+1), 10)
+	return string(b)
 }
 
 // splitHosts spreads total hosts over k clusters, front-loaded so the
@@ -159,7 +178,7 @@ func genStar(rng *rand.Rand, g GenSpec, k int) *Spec {
 		gw := fmt.Sprintf("c%dgw", i)
 		spec.Routers = append(spec.Routers, sw, gw)
 		for j := 0; j < hn; j++ {
-			name := fmt.Sprintf("c%dh%d", i, j)
+			name := hostName('c', i, j)
 			spec.Hosts = append(spec.Hosts, HostSpec{Name: name, Addr: hostAddr(i, j)})
 			spec.Links = append(spec.Links, LinkSpec{
 				A: name, B: sw, BandwidthBps: 100e6, Delay: 25 * simcore.Microsecond,
@@ -197,7 +216,7 @@ func genFatTree(rng *rand.Rand, g GenSpec, k int) *Spec {
 		sw := fmt.Sprintf("e%dsw", i)
 		spec.Routers = append(spec.Routers, sw)
 		for j := 0; j < hn; j++ {
-			name := fmt.Sprintf("e%dh%d", i, j)
+			name := hostName('e', i, j)
 			spec.Hosts = append(spec.Hosts, HostSpec{Name: name, Addr: hostAddr(i, j)})
 			spec.Links = append(spec.Links, LinkSpec{
 				A: name, B: sw, BandwidthBps: 100e6, Delay: 25 * simcore.Microsecond,
